@@ -9,6 +9,17 @@
 //! neighbour mode of Autoware's pclomp NDT) — which is exactly where
 //! K-D Bonsai applies.
 //!
+//! Production alignment (simulator disabled) gathers neighbours through
+//! the batched engine: each Newton iteration transforms the strided
+//! scan, answers all of its points with one
+//! [`RadiusSearchEngine::search_batch`](bonsai_core::RadiusSearchEngine::search_batch)
+//! call, then runs the score/gradient/Hessian math over the results in
+//! point order. The instrumented per-query walker (a leaf processor
+//! driven through the simulator) runs only under an enabled
+//! [`SimEngine`](bonsai_sim::SimEngine), so Figure 2's event stream is
+//! recorded. The engine returns the leaf processors' neighbours in the
+//! same order, so both paths give bit-identical poses.
+//!
 //! Deviations from PCL's implementation, both standard and
 //! convergence-equivalent:
 //!

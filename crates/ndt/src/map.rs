@@ -58,6 +58,12 @@ impl NdtMap {
         let mut cells: HashMap<(i32, i32, i32), Acc> = HashMap::new();
         for (i, p) in map_cloud.iter().enumerate() {
             sim.load(src + i as u64 * 16, 12);
+            // Rejected like non-finite tree inserts: `NaN as i32` is 0,
+            // so the point would otherwise join voxel (0, 0, 0) and
+            // poison that cell's Gaussian (and the centroid tree).
+            if !p.is_finite() {
+                continue;
+            }
             sim.exec(OpClass::FpAlu, 12);
             sim.exec(OpClass::IntAlu, 8);
             let key = (
@@ -219,6 +225,30 @@ mod tests {
         let centroids = map.centroids();
         assert_eq!(centroids.len(), map.cells().len());
         assert_eq!(centroids[0], map.cells()[0].mean);
+    }
+
+    #[test]
+    fn non_finite_points_are_skipped() {
+        let clean = plane_cloud();
+        let mut dirty = Vec::new();
+        for (i, &p) in clean.iter().enumerate() {
+            dirty.push(p);
+            // `NaN as i32` is 0: these would land in the populated
+            // voxel (0, 0, 0) without the guard.
+            match i % 97 {
+                0 => dirty.push(Point3::new(f32::NAN, 0.5, 0.0)),
+                1 => dirty.push(Point3::new(0.5, f32::NAN, f32::NAN)),
+                2 => dirty.push(Point3::new(f32::INFINITY, 0.5, 0.0)),
+                3 => dirty.push(Point3::new(0.5, 0.5, f32::NEG_INFINITY)),
+                _ => {}
+            }
+        }
+        let mut sim = SimEngine::disabled();
+        let want = NdtMap::build(&mut sim, &clean, 1.0);
+        let got = NdtMap::build(&mut sim, &dirty, 1.0);
+        assert!(dirty.len() > clean.len());
+        assert_eq!(got.cells(), want.cells());
+        assert!(got.cells().iter().all(|c| c.mean.is_finite()));
     }
 
     #[test]

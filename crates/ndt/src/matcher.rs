@@ -1,8 +1,8 @@
-use bonsai_core::BonsaiTree;
+use bonsai_core::{BonsaiLeafProcessor, BonsaiTree, RadiusSearchEngine};
 use bonsai_geom::{Mat3, Mat6, Point3, Pose, Vec6};
 use bonsai_isa::Machine;
 use bonsai_kdtree::{
-    BaselineLeafProcessor, KdTree, KdTreeConfig, Neighbor, SearchScratch, SearchStats,
+    BaselineLeafProcessor, KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchScratch, SearchStats,
 };
 use bonsai_sim::{Kernel, OpClass, SimEngine};
 
@@ -75,17 +75,39 @@ impl AlignResult {
 
 /// NDT scan-to-map matching with k-d-tree neighbour gathering.
 ///
+/// Each Newton iteration transforms the strided scan with the current
+/// pose and gathers every point's neighbour cells. With the simulator
+/// disabled (production) the whole iteration is one
+/// [`RadiusSearchEngine::search_batch`] call; with it enabled, each
+/// point walks the instrumented tree through a leaf processor so the
+/// simulator records Figure 2's event stream. Both sources return the
+/// same neighbours in the same order, so the pose is bit-identical
+/// either way.
+///
 /// See the [crate docs](crate) for the algorithm notes and an example.
 #[derive(Debug)]
 pub struct NdtMatcher {
     map: NdtMap,
     cfg: NdtConfig,
-    mode: NdtSearchMode,
-    baseline_tree: Option<KdTree>,
-    bonsai_tree: Option<BonsaiTree>,
+    index: MapIndex,
     machine: Machine,
     d1: f64,
     d2: f64,
+    /// Lookup buffers, reused across alignments: the transformed scan
+    /// points of one iteration and their batched results, or the
+    /// instrumented walk's traversal stack and per-point hits.
+    queries: Vec<Point3>,
+    batch: QueryBatch,
+    scratch: SearchScratch,
+    neighbors: Vec<Neighbor>,
+}
+
+/// The centroid k-d tree in the requested [`NdtSearchMode`].
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one instance per matcher
+enum MapIndex {
+    Baseline(KdTree),
+    Bonsai(BonsaiTree),
 }
 
 impl NdtMatcher {
@@ -98,15 +120,13 @@ impl NdtMatcher {
         mode: NdtSearchMode,
     ) -> NdtMatcher {
         let centroids = map.centroids();
-        let (baseline_tree, bonsai_tree) = match mode {
-            NdtSearchMode::Baseline => (
-                Some(KdTree::build(centroids, KdTreeConfig::default(), sim)),
-                None,
-            ),
-            NdtSearchMode::Bonsai => (
-                None,
-                Some(BonsaiTree::build(centroids, KdTreeConfig::default(), sim)),
-            ),
+        let index = match mode {
+            NdtSearchMode::Baseline => {
+                MapIndex::Baseline(KdTree::build(centroids, KdTreeConfig::default(), sim))
+            }
+            NdtSearchMode::Bonsai => {
+                MapIndex::Bonsai(BonsaiTree::build(centroids, KdTreeConfig::default(), sim))
+            }
         };
         // Magnusson 2009, Eq. 6.8: Gaussian + uniform mixture constants.
         // PCL's `gauss_d1_` is negative (it maximizes score); we minimize
@@ -121,12 +141,14 @@ impl NdtMatcher {
         NdtMatcher {
             map,
             cfg,
-            mode,
-            baseline_tree,
-            bonsai_tree,
+            index,
             machine: Machine::new(),
             d1,
             d2,
+            queries: Vec::new(),
+            batch: QueryBatch::new(),
+            scratch: SearchScratch::new(),
+            neighbors: Vec::new(),
         }
     }
 
@@ -140,120 +162,65 @@ impl NdtMatcher {
     pub fn align(&mut self, sim: &mut SimEngine, scan: &[Point3], guess: &Pose) -> AlignResult {
         let mut pose = *guess;
         let mut stats = SearchStats::default();
-        let mut neighbors: Vec<Neighbor> = Vec::new();
-        let mut scratch = SearchScratch::new();
         let mut iterations = 0;
         let mut converged = false;
         let mut score = 0.0;
         let radius = self.map.resolution();
+        let stride = self.cfg.scan_stride.max(1);
         let scan_addr = sim.alloc(scan.len() as u64 * 16, 64);
-        // One processor per alignment (stateful scratch; per-query
-        // construction would poison the cache model with cold regions).
-        let mut baseline_proc = self
-            .baseline_tree
-            .as_ref()
-            .map(|_| BaselineLeafProcessor::new(sim));
-        let mut bonsai_proc = self
-            .bonsai_tree
-            .as_ref()
-            .map(|b| bonsai_core::BonsaiLeafProcessor::new(b.directory(), &mut self.machine));
+        let engine = match &self.index {
+            MapIndex::Baseline(tree) => RadiusSearchEngine::baseline(tree),
+            MapIndex::Bonsai(tree) => RadiusSearchEngine::bonsai(tree),
+        };
+        let mut walker = sim
+            .is_enabled()
+            .then(|| Walker::new(sim, &self.index, &mut self.machine));
 
         for _ in 0..self.cfg.max_iterations {
             iterations += 1;
-            let mut gradient = Vec6::ZERO;
-            let mut hessian = Mat6::ZERO;
-            score = 0.0;
-
-            for (i, p) in scan.iter().enumerate().step_by(self.cfg.scan_stride.max(1)) {
-                // Transform the point with the current estimate.
-                sim.set_kernel(Kernel::NdtMath);
-                sim.load(scan_addr + i as u64 * 16, 12);
-                sim.exec(OpClass::FpAlu, 18);
-                let rotated = pose.rotation.mul_point(*p);
-                let x = rotated + pose.translation;
-
-                // Neighbour gathering: the radius search of Figure 2.
-                match self.mode {
-                    NdtSearchMode::Baseline => {
-                        let tree = self.baseline_tree.as_ref().expect("baseline tree");
-                        let proc = baseline_proc.as_mut().expect("baseline processor");
-                        tree.radius_search_scratch(
-                            sim,
-                            proc,
-                            x,
-                            radius,
-                            &mut neighbors,
-                            &mut stats,
-                            &mut scratch,
-                        );
-                    }
-                    NdtSearchMode::Bonsai => {
-                        let tree = self.bonsai_tree.as_ref().expect("bonsai tree").kd_tree();
-                        let proc = bonsai_proc.as_mut().expect("bonsai processor");
-                        tree.radius_search_scratch(
-                            sim,
-                            proc,
-                            x,
-                            radius,
-                            &mut neighbors,
-                            &mut stats,
-                            &mut scratch,
-                        );
+            let mut step = NewtonStep::new(&self.map, self.d1, self.d2);
+            match walker.as_mut() {
+                None => {
+                    // Transform every point, look them all up at once,
+                    // then run the math in the same point order.
+                    self.queries.clear();
+                    self.queries
+                        .extend(scan.iter().step_by(stride).map(|&p| pose.apply(p)));
+                    engine.search_batch(&self.queries, radius, &mut self.batch);
+                    stats += *self.batch.stats();
+                    let points = scan.iter().step_by(stride).zip(&self.queries);
+                    for ((&p, &x), hits) in points.zip(self.batch.iter()) {
+                        step.add(sim, x, pose.rotation.mul_point(p), hits);
                     }
                 }
-
-                sim.set_kernel(Kernel::NdtMath);
-                for nb in &neighbors {
-                    let cell = &self.map.cells()[nb.index as usize];
-                    sim.load(self.map.cell_addr(nb.index), CELL_STRIDE as u32);
-                    sim.exec(OpClass::FpAlu, 90); // q, Bq, score, J products
-
-                    let q = [
-                        (x.x - cell.mean.x) as f64,
-                        (x.y - cell.mean.y) as f64,
-                        (x.z - cell.mean.z) as f64,
-                    ];
-                    let b: &Mat3 = &cell.inv_cov;
-                    let bq = b.mul_vec(q);
-                    let u = q[0] * bq[0] + q[1] * bq[1] + q[2] * bq[2];
-                    let e = (-0.5 * self.d2 * u).exp();
-                    score -= self.d1 * e;
-                    let w = self.d1 * self.d2 * e;
-
-                    // Jacobian columns: translation = I, rotation = −[v]×
-                    // with v = R·p.
-                    let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
-                    let mut jt_bq = [0.0f64; 6]; // (Jᵀ B q)
-                    jt_bq[0] = bq[0];
-                    jt_bq[1] = bq[1];
-                    jt_bq[2] = bq[2];
-                    // (−[v]×)ᵀ B q = (v × Bq) … column k of −[v]× is e_k×v.
-                    jt_bq[3] = v[1] * bq[2] - v[2] * bq[1];
-                    jt_bq[4] = v[2] * bq[0] - v[0] * bq[2];
-                    jt_bq[5] = v[0] * bq[1] - v[1] * bq[0];
-
-                    for r in 0..6 {
-                        gradient[r] += w * jt_bq[r];
-                    }
-                    // Positive-semidefinite Gauss–Newton Hessian
-                    // `Σ w·JᵀBJ`. The exact Newton Hessian subtracts
-                    // `d2·(JᵀBq)(JᵀBq)ᵀ`, which is indefinite away from
-                    // the optimum; PCL compensates with a More–Thuente
-                    // line search, we keep the PSD form instead
-                    // (documented deviation, same fixed point).
-                    let jbj = jt_b_j(b, v);
-                    for r in 0..6 {
-                        for cc in 0..6 {
-                            hessian[(r, cc)] += w * jbj[r][cc];
-                        }
+                Some(walker) => {
+                    // Simulator on: one instrumented walk per point.
+                    for (i, &p) in scan.iter().enumerate().step_by(stride) {
+                        // Transform the point with the current estimate.
+                        sim.set_kernel(Kernel::NdtMath);
+                        sim.load(scan_addr + i as u64 * 16, 12);
+                        sim.exec(OpClass::FpAlu, 18);
+                        let rotated = pose.rotation.mul_point(p);
+                        let x = rotated + pose.translation;
+                        // Neighbour gathering: the radius search of Figure 2.
+                        walker.search(
+                            sim,
+                            x,
+                            radius,
+                            &mut self.neighbors,
+                            &mut stats,
+                            &mut self.scratch,
+                        );
+                        step.add(sim, x, rotated, &self.neighbors);
                     }
                 }
             }
+            score = step.score;
 
             sim.set_kernel(Kernel::NdtMath);
             sim.exec(OpClass::FpAlu, 300); // 6×6 solve
-            hessian.add_diagonal(self.cfg.damping + 1e-9);
-            let Some(mut delta) = hessian.solve(gradient * -1.0) else {
+            step.hessian.add_diagonal(self.cfg.damping + 1e-9);
+            let Some(mut delta) = step.hessian.solve(step.gradient * -1.0) else {
                 break;
             };
             // Step safeguard (PCL clamps the Newton step the same way).
@@ -279,6 +246,122 @@ impl NdtMatcher {
             score,
             converged,
             search_stats: stats,
+        }
+    }
+}
+
+/// The instrumented per-query walk used while the simulator records:
+/// the map tree plus one stateful leaf processor per alignment
+/// (per-query construction would poison the cache model with cold
+/// regions).
+enum Walker<'a> {
+    Baseline(&'a KdTree, BaselineLeafProcessor),
+    Bonsai(&'a KdTree, BonsaiLeafProcessor<'a>),
+}
+
+impl<'a> Walker<'a> {
+    fn new(sim: &mut SimEngine, index: &'a MapIndex, machine: &'a mut Machine) -> Walker<'a> {
+        match index {
+            MapIndex::Baseline(tree) => Walker::Baseline(tree, BaselineLeafProcessor::new(sim)),
+            MapIndex::Bonsai(tree) => Walker::Bonsai(
+                tree.kd_tree(),
+                BonsaiLeafProcessor::new(tree.directory(), machine),
+            ),
+        }
+    }
+
+    /// Radius search around `x`, replacing `out` with the hits.
+    fn search(
+        &mut self,
+        sim: &mut SimEngine,
+        x: Point3,
+        radius: f32,
+        out: &mut Vec<Neighbor>,
+        stats: &mut SearchStats,
+        scratch: &mut SearchScratch,
+    ) {
+        match self {
+            Walker::Baseline(tree, proc) => {
+                tree.radius_search_scratch(sim, proc, x, radius, out, stats, scratch)
+            }
+            Walker::Bonsai(tree, proc) => {
+                tree.radius_search_scratch(sim, proc, x, radius, out, stats, scratch)
+            }
+        }
+    }
+}
+
+/// One Newton iteration's score, gradient and Gauss–Newton Hessian,
+/// accumulated point by point.
+struct NewtonStep<'m> {
+    map: &'m NdtMap,
+    d1: f64,
+    d2: f64,
+    score: f64,
+    gradient: Vec6,
+    hessian: Mat6,
+}
+
+impl<'m> NewtonStep<'m> {
+    fn new(map: &'m NdtMap, d1: f64, d2: f64) -> NewtonStep<'m> {
+        NewtonStep {
+            map,
+            d1,
+            d2,
+            score: 0.0,
+            gradient: Vec6::ZERO,
+            hessian: Mat6::ZERO,
+        }
+    }
+
+    /// Adds the terms of one transformed scan point `x` (`rotated` is
+    /// `R·p`, before translation) against each of its neighbour cells.
+    fn add(&mut self, sim: &mut SimEngine, x: Point3, rotated: Point3, neighbors: &[Neighbor]) {
+        sim.set_kernel(Kernel::NdtMath);
+        for nb in neighbors {
+            let cell = &self.map.cells()[nb.index as usize];
+            sim.load(self.map.cell_addr(nb.index), CELL_STRIDE as u32);
+            sim.exec(OpClass::FpAlu, 90); // q, Bq, score, J products
+
+            let q = [
+                (x.x - cell.mean.x) as f64,
+                (x.y - cell.mean.y) as f64,
+                (x.z - cell.mean.z) as f64,
+            ];
+            let b: &Mat3 = &cell.inv_cov;
+            let bq = b.mul_vec(q);
+            let u = q[0] * bq[0] + q[1] * bq[1] + q[2] * bq[2];
+            let e = (-0.5 * self.d2 * u).exp();
+            self.score -= self.d1 * e;
+            let w = self.d1 * self.d2 * e;
+
+            // Jacobian columns: translation = I, rotation = −[v]×
+            // with v = R·p.
+            let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
+            let mut jt_bq = [0.0f64; 6]; // (Jᵀ B q)
+            jt_bq[0] = bq[0];
+            jt_bq[1] = bq[1];
+            jt_bq[2] = bq[2];
+            // (−[v]×)ᵀ B q = (v × Bq) … column k of −[v]× is e_k×v.
+            jt_bq[3] = v[1] * bq[2] - v[2] * bq[1];
+            jt_bq[4] = v[2] * bq[0] - v[0] * bq[2];
+            jt_bq[5] = v[0] * bq[1] - v[1] * bq[0];
+
+            for r in 0..6 {
+                self.gradient[r] += w * jt_bq[r];
+            }
+            // Positive-semidefinite Gauss–Newton Hessian
+            // `Σ w·JᵀBJ`. The exact Newton Hessian subtracts
+            // `d2·(JᵀBq)(JᵀBq)ᵀ`, which is indefinite away from
+            // the optimum; PCL compensates with a More–Thuente
+            // line search, we keep the PSD form instead
+            // (documented deviation, same fixed point).
+            let jbj = jt_b_j(b, v);
+            for r in 0..6 {
+                for cc in 0..6 {
+                    self.hessian[(r, cc)] += w * jbj[r][cc];
+                }
+            }
         }
     }
 }
@@ -320,6 +403,8 @@ fn pose_from_parts(rotation: Mat3, translation: Point3) -> Pose {
 
 #[cfg(test)]
 mod tests {
+    use bonsai_sim::{CpuConfig, TimingModel};
+
     use super::*;
 
     /// A structured scene: floor, side walls and cross walls — enough
@@ -349,11 +434,25 @@ mod tests {
     }
 
     fn align_from(guess: Pose, mode: NdtSearchMode) -> AlignResult {
+        align_with(
+            &mut SimEngine::disabled(),
+            NdtConfig::default(),
+            guess,
+            mode,
+        )
+    }
+
+    /// Aligns the structured scene against itself through `sim`.
+    fn align_with(
+        sim: &mut SimEngine,
+        cfg: NdtConfig,
+        guess: Pose,
+        mode: NdtSearchMode,
+    ) -> AlignResult {
         let cloud = structured_cloud();
-        let mut sim = SimEngine::disabled();
-        let map = NdtMap::build(&mut sim, &cloud, 2.0);
-        let mut matcher = NdtMatcher::new(&mut sim, map, NdtConfig::default(), mode);
-        matcher.align(&mut sim, &cloud, &guess)
+        let map = NdtMap::build(sim, &cloud, 2.0);
+        let mut matcher = NdtMatcher::new(sim, map, cfg, mode);
+        matcher.align(sim, &cloud, &guess)
     }
 
     #[test]
@@ -387,10 +486,36 @@ mod tests {
         let guess = Pose::from_translation_euler(Point3::new(0.3, 0.2, 0.0), 0.0, 0.0, -0.015);
         let a = align_from(guess, NdtSearchMode::Baseline);
         let b = align_from(guess, NdtSearchMode::Bonsai);
-        // Identical membership in every radius search ⇒ identical Newton
-        // trajectory ⇒ identical pose.
-        assert!(a.pose.translation.distance(b.pose.translation) < 1e-5);
+        // Identical membership, in identical order, in every radius
+        // search ⇒ identical Newton trajectory ⇒ bit-identical pose.
+        assert_eq!(a.pose, b.pose);
+        assert_eq!(a.score, b.score);
         assert_eq!(a.iterations, b.iterations);
+    }
+
+    #[test]
+    fn batched_lookups_match_the_instrumented_walk() {
+        // Production alignment (simulator off) answers each Newton
+        // iteration with one engine batch; with the simulator on, every
+        // point walks the instrumented tree. Same neighbours in the
+        // same order ⇒ the same result, bit for bit, in both modes.
+        let cfg = NdtConfig {
+            scan_stride: 2,
+            ..NdtConfig::default()
+        };
+        let guess = Pose::from_translation_euler(Point3::new(0.4, -0.3, 0.1), 0.0, 0.0, 0.02);
+        for mode in [NdtSearchMode::Baseline, NdtSearchMode::Bonsai] {
+            let fast = align_with(&mut SimEngine::disabled(), cfg.clone(), guess, mode);
+            let mut sim = SimEngine::new(&CpuConfig::a72_like());
+            let walked = align_with(&mut sim, cfg.clone(), guess, mode);
+            assert!(fast.converged, "{mode:?}");
+            assert!(fast.search_stats.leaf_visits > 0, "{mode:?}");
+            assert_eq!(fast.pose, walked.pose, "{mode:?}");
+            assert_eq!(fast.iterations, walked.iterations, "{mode:?}");
+            assert_eq!(fast.score, walked.score, "{mode:?}");
+            assert_eq!(fast.converged, walked.converged, "{mode:?}");
+            assert_eq!(fast.search_stats, walked.search_stats, "{mode:?}");
+        }
     }
 
     #[test]
@@ -423,5 +548,69 @@ mod tests {
             good.score,
             bad.score
         );
+    }
+
+    /// One small alignment of the structured scene with the simulator
+    /// on, counting only the alignment (map and tree building reset).
+    fn simulated_alignment(mode: NdtSearchMode) -> (AlignResult, SimEngine) {
+        let cloud = structured_cloud();
+        let mut sim = SimEngine::new(&CpuConfig::a72_like());
+        let map = NdtMap::build(&mut sim, &cloud, 2.0);
+        let cfg = NdtConfig {
+            max_iterations: 4,
+            scan_stride: 3,
+            ..NdtConfig::default()
+        };
+        let mut matcher = NdtMatcher::new(&mut sim, map, cfg, mode);
+        sim.reset_counters();
+        let guess = Pose::from_translation_euler(Point3::new(0.3, -0.2, 0.05), 0.0, 0.0, 0.02);
+        let r = matcher.align(&mut sim, &cloud, &guess);
+        (r, sim)
+    }
+
+    /// Golden per-kernel simulator counters of [`simulated_alignment`]:
+    /// `(kernel, cycles, loads, branches, mispredicts, L1 misses)`.
+    /// They pin the instrumented walk's event stream — the numbers
+    /// behind Figure 2's NDT share — so no refactor of `align` can make
+    /// them drift unnoticed.
+    #[test]
+    fn simulated_alignment_counters_are_pinned() {
+        type Golden = [(Kernel, f64, u64, u64, u64, u64); 4];
+        let baseline: Golden = [
+            (Kernel::NdtMath, 361683.9166666667, 15386, 0, 0, 3961),
+            (Kernel::Traverse, 216214.75, 47902, 32048, 6905, 7),
+            (Kernel::LeafScan, 576002.75, 111339, 100433, 8975, 217),
+            (Kernel::Fallback, 0.0, 0, 0, 0, 0),
+        ];
+        let bonsai: Golden = [
+            (Kernel::NdtMath, 361407.4166666667, 15386, 0, 0, 3879),
+            (Kernel::Traverse, 186918.5, 47902, 32048, 4808, 30),
+            (Kernel::LeafScan, 483958.25, 50509, 200800, 11685, 40),
+            (Kernel::Fallback, 886.8333333333333, 132, 66, 31, 39),
+        ];
+        let timing = TimingModel::a72_like();
+        for (mode, golden) in [
+            (NdtSearchMode::Baseline, baseline),
+            (NdtSearchMode::Bonsai, bonsai),
+        ] {
+            let (r, sim) = simulated_alignment(mode);
+            assert_eq!(r.iterations, 4, "{mode:?}");
+            assert_eq!(r.score, -5671.626498629433, "{mode:?}");
+            for (kernel, cycles, loads, branches, mispredicts, l1_misses) in golden {
+                let c = sim.kernel_counters(kernel);
+                let got = (
+                    timing.cycles(c),
+                    c.loads,
+                    c.branches,
+                    c.mispredicts,
+                    c.l1_misses,
+                );
+                assert_eq!(
+                    got,
+                    (cycles, loads, branches, mispredicts, l1_misses),
+                    "{mode:?} {kernel:?}"
+                );
+            }
+        }
     }
 }

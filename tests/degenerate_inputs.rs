@@ -13,17 +13,22 @@
 //!   duplicates, a single point, and coordinates that saturate the
 //!   f16-approximate rows (|x| > 65504 rounds to ±∞ in binary16) must
 //!   keep all three modes bit-identical in membership.
+//! * **Degenerate NDT alignments** — an empty scan, non-finite scan
+//!   points, `scan_stride: 0` and a map without cells must not panic,
+//!   and the production alignment (batched engine lookups) must equal
+//!   the simulator-instrumented one bit for bit.
 
 use kd_bonsai::cluster::TreeMode;
 use kd_bonsai::core::{
     BonsaiTree, RadiusSearchEngine, ShardConfig, ShardRouter, SoftwareCodecProcessor,
 };
-use kd_bonsai::geom::Point3;
+use kd_bonsai::geom::{Point3, Pose};
 use kd_bonsai::isa::Machine;
 use kd_bonsai::kdtree::{
     BaselineLeafProcessor, KdTreeConfig, Neighbor, QueryBatch, SearchScratch, SearchStats,
 };
-use kd_bonsai::sim::SimEngine;
+use kd_bonsai::ndt::{AlignResult, NdtConfig, NdtMap, NdtMatcher, NdtSearchMode};
+use kd_bonsai::sim::{CpuConfig, SimEngine};
 
 const MODES: [TreeMode; 3] = [
     TreeMode::Baseline,
@@ -561,4 +566,124 @@ fn full_deletion_then_reinsertion_stays_consistent() {
     let hits = tree.radius_search_simple(p, 0.1);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].index, idx);
+}
+
+// ---------------------------------------------------------------------------
+// NDT alignment on degenerate inputs
+// ---------------------------------------------------------------------------
+
+const NDT_MODES: [NdtSearchMode; 2] = [NdtSearchMode::Baseline, NdtSearchMode::Bonsai];
+
+/// A small map with structure along every axis: a floor, a side wall
+/// and a cross wall.
+fn ndt_scene() -> Vec<Point3> {
+    let mut pts = Vec::new();
+    for i in 0..40 {
+        for j in 0..10 {
+            let (a, b) = (i as f32 * 0.25, j as f32 * 0.3);
+            pts.push(Point3::new(a, b, 0.0));
+            pts.push(Point3::new(a, 0.0, b));
+            pts.push(Point3::new(4.0, a * 0.5, b));
+        }
+    }
+    pts
+}
+
+/// Aligns `scan` against a map of `map_cloud` with the simulator off
+/// (production: one engine batch per Newton iteration) and on
+/// (instrumented per-point walk), asserts the two agree bit for bit and
+/// returns the production result.
+fn align_both_paths(
+    map_cloud: &[Point3],
+    scan: &[Point3],
+    cfg: &NdtConfig,
+    mode: NdtSearchMode,
+    label: &str,
+) -> AlignResult {
+    let guess = Pose::from_translation_euler(Point3::new(0.2, -0.1, 0.0), 0.0, 0.0, 0.01);
+    let run = |sim: &mut SimEngine| {
+        let map = NdtMap::build(sim, map_cloud, 2.0);
+        NdtMatcher::new(sim, map, cfg.clone(), mode).align(sim, scan, &guess)
+    };
+    let fast = run(&mut SimEngine::disabled());
+    let walked = run(&mut SimEngine::new(&CpuConfig::a72_like()));
+    assert_eq!(fast, walked, "{label} ({mode:?}): batched ≠ instrumented");
+    fast
+}
+
+/// No scan point, or no map cell, means no neighbour: a zero gradient,
+/// a zero step and convergence on the first iteration.
+fn assert_no_lookup_work(r: &AlignResult, label: &str) {
+    assert_eq!(r.iterations, 1, "{label}");
+    assert!(r.converged, "{label}");
+    assert_eq!(r.score, 0.0, "{label}");
+    assert_eq!(r.search_stats.points_inspected, 0, "{label}");
+}
+
+#[test]
+fn ndt_empty_scan_converges_without_work() {
+    let scene = ndt_scene();
+    for mode in NDT_MODES {
+        let r = align_both_paths(&scene, &[], &NdtConfig::default(), mode, "empty scan");
+        assert_no_lookup_work(&r, "empty scan");
+        assert_eq!(r.search_stats, SearchStats::default());
+    }
+}
+
+#[test]
+fn ndt_non_finite_scan_points_contribute_nothing() {
+    let scene = ndt_scene();
+    let mut dirty = Vec::new();
+    for (i, &p) in scene.iter().enumerate() {
+        dirty.push(p);
+        if i % 50 == 0 {
+            dirty.push(Point3::new(f32::NAN, p.y, p.z));
+            dirty.push(Point3::new(p.x, f32::INFINITY, p.z));
+            dirty.push(Point3::new(p.x, p.y, f32::NEG_INFINITY));
+        }
+    }
+    let cfg = NdtConfig::default();
+    for mode in NDT_MODES {
+        let clean = align_both_paths(&scene, &scene, &cfg, mode, "finite scan");
+        let r = align_both_paths(&scene, &dirty, &cfg, mode, "non-finite scan points");
+        // A non-finite query finds nothing and costs no traversal, so
+        // the alignment is the finite scan's, bit for bit.
+        assert_eq!(r, clean, "{mode:?}");
+        assert!(r.search_stats.points_inspected > 0, "{mode:?}");
+    }
+}
+
+#[test]
+fn ndt_zero_scan_stride_means_every_point() {
+    let scene = ndt_scene();
+    let every = |stride| NdtConfig {
+        scan_stride: stride,
+        ..NdtConfig::default()
+    };
+    for mode in NDT_MODES {
+        let zero = align_both_paths(&scene, &scene, &every(0), mode, "scan_stride 0");
+        let one = align_both_paths(&scene, &scene, &every(1), mode, "scan_stride 1");
+        assert_eq!(zero, one, "{mode:?}");
+    }
+}
+
+#[test]
+fn ndt_map_without_cells_converges_without_work() {
+    // Five points per voxel at most: below the per-cell minimum, so
+    // the map keeps no Gaussian and the centroid tree is empty.
+    let sparse: Vec<Point3> = (0..5)
+        .flat_map(|i| {
+            let c = i as f32 * 4.0 + 0.5;
+            (0..5).map(move |j| Point3::new(c + j as f32 * 0.1, 0.5, 0.5))
+        })
+        .collect();
+    let scene = ndt_scene();
+    for (label, map_cloud) in [("sparse map", &sparse[..]), ("empty map", &[][..])] {
+        let map = NdtMap::build(&mut SimEngine::disabled(), map_cloud, 2.0);
+        assert!(map.cells().is_empty(), "{label}");
+        for mode in NDT_MODES {
+            let r = align_both_paths(map_cloud, &scene, &NdtConfig::default(), mode, label);
+            assert_no_lookup_work(&r, label);
+        }
+    }
 }
