@@ -1,27 +1,41 @@
 //! Streaming frame-to-frame cluster extraction: diff-and-update
 //! instead of rebuild-per-frame.
 //!
-//! Consecutive LiDAR frames share most of their (preprocessed) points,
-//! yet [`FramePipeline::run`](crate::FramePipeline::run) pays a full
-//! tree build + Bonsai compression per frame. The
-//! [`StreamingExtractor`] keeps a mutable sharded index alive across
-//! frames instead: frame 0 builds it (median-cut shards, parallel
-//! construction), every later frame is **diffed** against the live
-//! point set ([`FrameUpdate`]: exact-coordinate multiset matching) and
-//! only the difference is applied — deletions and insertions routed to
-//! their shards, touched leaves lazily re-baked, everything else
-//! untouched.
+//! [`FramePipeline::run`](crate::FramePipeline::run) pays a full tree
+//! build + Bonsai compression per frame. The [`StreamingExtractor`]
+//! keeps a sharded index alive across frames instead: frame 0 builds
+//! it (median-cut shards, parallel construction), every later frame is
+//! **diffed** against the live point set ([`FrameUpdate`]:
+//! exact-coordinate multiset matching) and the difference is applied
+//! by rebuilding only the shards it touches
+//! ([`ShardRouter::rebuild_update`]) — each over its surviving points
+//! plus the insertions routed to it. Untouched shards, and the
+//! published epochs that pin them, are left alone.
 //!
-//! Clusters extracted from the incremental index are **identical** to
+//! Why rebuild rather than replay the difference point by point: drive
+//! scans arrive in the vehicle frame, so consecutive preprocessed
+//! frames share almost no exact coordinates (measured reuse ≈ 0) and
+//! the difference is nearly the whole cloud. Per-point mutation costs
+//! in proportion to the churn; a rebuild costs about the same at any
+//! churn and leaves no dead points or garbage slots behind. On a
+//! 7.2k-point drive frame over 8 shards (2-vCPU Xeon) the two break
+//! even when 1–2 % of the points move. The per-point
+//! mutation API ([`ShardRouter::insert`] / [`ShardRouter::delete`])
+//! remains for callers with small updates.
+//!
+//! Clusters extracted from the streamed index are **identical** to
 //! a from-scratch rebuild over the same frame in all three
 //! [`TreeMode`]s: euclidean clusters are the connected components of
-//! the tolerance graph, and the mutated trees' per-query neighbor sets
-//! are bit-identical to fresh builds (property-tested at the workspace
-//! root). [`StreamingPipeline`] wires this into the frame pipeline and
-//! reproduces [`FramePipeline::run`]'s `FrameResult` end to end.
+//! the tolerance graph, and per-query neighbor sets are bit-identical
+//! to fresh builds whatever the tree shape (property-tested at the
+//! workspace root). [`StreamingPipeline`] wires this into the frame
+//! pipeline and reproduces [`FramePipeline::run`]'s `FrameResult` end
+//! to end.
 //!
 //! [`FramePipeline::run`]: crate::FramePipeline::run
+//! [`StreamingPipeline`]: crate::StreamingPipeline
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use bonsai_core::{
@@ -57,12 +71,12 @@ impl FrameUpdate {
 /// Global point indices are assigned at insertion and stay valid until
 /// the point is deleted; the live set after
 /// [`ingest_frame`](StreamingExtractor::ingest_frame) is exactly the
-/// frame's point multiset. A *deleted* index may later be recycled for
-/// a new point once a shard rebuild retires its slot (generation-
-/// tagged free lists keep long streams from growing one entry per
-/// insert ever), so hold indices only while their points are live —
-/// [`try_point`](StreamingExtractor::try_point) distinguishes the
-/// cases.
+/// frame's point multiset. A *deleted* index is retired by the update
+/// that removes it and may be recycled for a new point from the next
+/// update on (generation-tagged free lists keep long streams from
+/// growing one entry per insert ever), so hold indices only while their
+/// points are live — [`try_point`](StreamingExtractor::try_point)
+/// distinguishes the cases.
 ///
 /// # Examples
 ///
@@ -99,7 +113,7 @@ pub struct StreamingExtractor {
     /// ascending — the frame matcher, maintained across mutations so
     /// [`diff`](StreamingExtractor::diff) is `O(frame + churn)`
     /// instead of re-hashing the whole live set per frame.
-    matcher: HashMap<[u32; 3], Vec<u32>>,
+    matcher: HashMap<[u32; 3], Globals>,
 }
 
 impl StreamingExtractor {
@@ -207,7 +221,9 @@ impl StreamingExtractor {
     /// criterion fires. Global indices are stable across rebuilds, so
     /// the live set, the frame matcher and every extracted cluster are
     /// unaffected; only memory and routed traversal work shrink.
-    /// Returns the rebuilt shard's index, if any.
+    /// Returns the rebuilt shard's index, if any. Frames ingested
+    /// through [`apply`](StreamingExtractor::apply) leave no waste, so
+    /// on an extractor the check normally finds nothing to do.
     pub fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<usize> {
         self.router.compact_next(policy)
     }
@@ -280,11 +296,16 @@ impl StreamingExtractor {
 
     /// Rebuilds the frame matcher from the live set (the reference the
     /// maintained map is tested against, and the frame-0 bootstrap).
-    fn rebuilt_matcher(&self) -> HashMap<[u32; 3], Vec<u32>> {
-        let mut by_bits: HashMap<[u32; 3], Vec<u32>> = HashMap::new();
+    fn rebuilt_matcher(&self) -> HashMap<[u32; 3], Globals> {
+        let mut by_bits: HashMap<[u32; 3], Globals> = HashMap::new();
         for idx in self.live_indices() {
-            let p = self.coords[idx as usize];
-            by_bits.entry(coord_key(p)).or_default().push(idx);
+            let key = coord_key(self.coords[idx as usize]);
+            match by_bits.entry(key) {
+                Entry::Vacant(e) => {
+                    e.insert(Globals::One(idx));
+                }
+                Entry::Occupied(mut e) => e.get_mut().insert(idx),
+            }
         }
         by_bits
     }
@@ -294,10 +315,11 @@ impl StreamingExtractor {
     /// list position is found by binary search to keep it ascending.
     fn matcher_insert(&mut self, g: u32) {
         let key = coord_key(self.coords[g as usize]);
-        let list = self.matcher.entry(key).or_default();
-        match list.binary_search(&g) {
-            Ok(_) => unreachable!("global index {g} inserted twice"),
-            Err(pos) => list.insert(pos, g),
+        match self.matcher.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Globals::One(g));
+            }
+            Entry::Occupied(mut e) => e.get_mut().insert(g),
         }
     }
 
@@ -309,54 +331,54 @@ impl StreamingExtractor {
         let Some(list) = self.matcher.get_mut(&key) else {
             unreachable!("deleted a live point the matcher never saw");
         };
-        // lint: allow(panic-free-serving) — matcher lists are sorted
-        // and hold exactly the live points of their coordinate key; a
-        // miss is internal index corruption, which the deep auditor
-        // (not silent continuation) is the recovery path for.
-        let pos = list
-            .binary_search(&g)
-            .expect("live point present in its matcher list");
-        list.remove(pos);
-        if list.is_empty() {
+        if list.remove(g) {
             self.matcher.remove(&key);
         }
     }
 
-    /// Applies an update: deletions and insertions are routed to their
-    /// shards, then the touched shards' leaves are re-baked. Returns
+    /// Applies an update with one router call,
+    /// [`ShardRouter::rebuild_update`]: every shard the update touches
+    /// is rebuilt over its surviving points plus the insertions routed
+    /// to it, and untouched shards are left as they are. The index
+    /// therefore carries no dead points or garbage slots after any
+    /// frame, and each removed global index is retired (generation
+    /// bumped) and becomes reusable from the next update on. Returns
     /// one entry per `update.added` point, in order: its assigned
     /// global index, or `None` for a non-finite point (rejected by
     /// every mutation entry point — it can never be routed or found).
+    ///
+    /// A rebuild costs about the same whatever the churn, where
+    /// per-point mutation costs in proportion to it. Vehicle-frame
+    /// drive scans reuse almost no exact coordinates from one frame to
+    /// the next, so the rebuild is the cheap side there.
     pub fn apply(&mut self, update: &FrameUpdate) -> Vec<Option<u32>> {
         for &idx in &update.removed {
-            if self.router.delete(idx) {
+            if self.alive.get(idx as usize) == Some(&true) {
                 self.alive[idx as usize] = false;
                 self.num_live -= 1;
                 self.matcher_remove(idx);
             }
         }
-        let mut inserted = Vec::with_capacity(update.added.len());
-        for &p in &update.added {
-            let assigned = self.router.insert(p);
-            if let Some(g) = assigned {
-                let gi = g as usize;
-                if gi < self.coords.len() {
-                    // Recycled slot: a shard rebuild retired this
-                    // index after its point died.
-                    debug_assert!(!self.alive[gi], "router recycled a live index");
-                    self.coords[gi] = p;
-                    self.alive[gi] = true;
-                } else {
-                    debug_assert_eq!(gi, self.coords.len());
-                    self.coords.push(p);
-                    self.alive.push(true);
-                }
-                self.num_live += 1;
-                self.matcher_insert(g);
+        let inserted = self.router.rebuild_update(&update.added, &update.removed);
+        for (&p, &assigned) in update.added.iter().zip(&inserted) {
+            let Some(g) = assigned else {
+                continue;
+            };
+            let gi = g as usize;
+            if gi < self.coords.len() {
+                // Recycled slot: an earlier update or rebuild retired
+                // this index after its point died.
+                debug_assert!(!self.alive[gi], "router recycled a live index");
+                self.coords[gi] = p;
+                self.alive[gi] = true;
+            } else {
+                debug_assert_eq!(gi, self.coords.len());
+                self.coords.push(p);
+                self.alive.push(true);
             }
-            inserted.push(assigned);
+            self.num_live += 1;
+            self.matcher_insert(g);
         }
-        self.router.commit();
         inserted
     }
 
@@ -368,10 +390,10 @@ impl StreamingExtractor {
 
     /// Makes the live (finite) points equal to `next`'s: the first
     /// frame builds the sharded index from scratch (median-cut,
-    /// parallel shard builds), every later frame diffs and applies
-    /// only the change. Returns the global index of each frame
-    /// position; positions holding non-finite points report
-    /// [`UNINDEXED`](StreamingExtractor::UNINDEXED).
+    /// parallel shard builds), every later frame diffs and applies the
+    /// change by rebuilding the shards it touches. Returns the global
+    /// index of each frame position; positions holding non-finite
+    /// points report [`UNINDEXED`](StreamingExtractor::UNINDEXED).
     pub fn ingest_frame(&mut self, next: &[Point3]) -> Vec<u32> {
         if self.coords.is_empty() {
             // Frame 0: a real build beats point-by-point insertion and
@@ -601,6 +623,68 @@ pub struct HealReport {
     pub clean: bool,
 }
 
+/// The live global indices sharing one exact coordinate, ascending.
+/// Nearly every coordinate is unique, so a lone index is stored inline
+/// rather than in a one-element heap list; a `Many` list always holds
+/// at least two.
+#[derive(Debug, Clone)]
+enum Globals {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl std::ops::Deref for Globals {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            Globals::One(g) => std::slice::from_ref(g),
+            Globals::Many(list) => list,
+        }
+    }
+}
+
+impl PartialEq for Globals {
+    fn eq(&self, other: &Globals) -> bool {
+        **self == **other
+    }
+}
+
+impl Globals {
+    /// Adds `g` in ascending position (it may be a recycled index,
+    /// smaller than those already listed).
+    fn insert(&mut self, g: u32) {
+        let mut list = match std::mem::replace(self, Globals::Many(Vec::new())) {
+            Globals::One(h) => vec![h],
+            Globals::Many(list) => list,
+        };
+        match list.binary_search(&g) {
+            Ok(_) => unreachable!("global index {g} inserted twice"),
+            Err(pos) => list.insert(pos, g),
+        }
+        *self = Globals::Many(list);
+    }
+
+    /// Removes `g`; returns whether the list is now empty.
+    fn remove(&mut self, g: u32) -> bool {
+        // lint: allow(panic-free-serving) — matcher lists are sorted
+        // and hold exactly the live points of their coordinate key; a
+        // miss is internal index corruption, which the deep auditor
+        // (not silent continuation) is the recovery path for.
+        let pos = self
+            .binary_search(&g)
+            .expect("live point present in its matcher list");
+        let Globals::Many(list) = self else {
+            return true;
+        };
+        list.remove(pos);
+        if let [last] = list[..] {
+            *self = Globals::One(last);
+        }
+        false
+    }
+}
+
 fn coord_key(p: Point3) -> [u32; 3] {
     [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]
 }
@@ -734,8 +818,10 @@ mod tests {
     }
 
     /// Rolling compaction is invisible to extraction (same clusters as
-    /// an uncompacted twin, frame after frame) while actually firing
-    /// and bounding the index's waste on a churny stream.
+    /// an uncompacted twin, frame after frame), and neither twin
+    /// carries waste on a churny stream: `apply` rebuilds the shards it
+    /// touches, so no frame leaves dead points or garbage slots behind
+    /// for compaction to reclaim.
     #[test]
     fn rolling_compaction_is_output_neutral_and_bounds_waste() {
         let mut plain = StreamingExtractor::new(TreeMode::Bonsai, KdTreeConfig::default(), 3);
@@ -744,14 +830,11 @@ mod tests {
             garbage_ratio: 0.15,
             min_points: 64,
         };
-        let mut fired = 0usize;
         for frame in 0..30 {
             let cloud = scene((frame % 7) as f32 * 0.9, 11 + frame % 5);
             plain.ingest_frame(&cloud);
             compacted.ingest_frame(&cloud);
-            if compacted.maybe_compact(&policy).is_some() {
-                fired += 1;
-            }
+            compacted.maybe_compact(&policy);
             let a = plain.extract(0.5, 1, 100_000);
             let b = compacted.extract(0.5, 1, 100_000);
             assert_eq!(
@@ -759,14 +842,16 @@ mod tests {
                 cluster_coords(&compacted, &b.clusters),
                 "frame {frame}: compaction changed extraction output"
             );
+            for (name, ex) in [("plain", &plain), ("compacted", &compacted)] {
+                let router = ex.router();
+                assert_eq!(router.garbage_slots(), 0, "{name} frame {frame}");
+                for i in 0..router.num_shards() {
+                    // Waste is garbage slots plus dead points.
+                    let (waste, _) = router.shard_fragmentation(i);
+                    assert_eq!(waste, 0, "{name} frame {frame}: shard {i} carries waste");
+                }
+            }
         }
-        assert!(fired > 0, "the churny stream never triggered a rebuild");
-        assert!(
-            compacted.router().resident_bytes() < plain.router().resident_bytes(),
-            "compaction did not reclaim memory: {} vs {}",
-            compacted.router().resident_bytes(),
-            plain.router().resident_bytes()
-        );
     }
 
     #[test]

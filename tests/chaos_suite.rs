@@ -38,8 +38,9 @@ fn scene(shift: f32, seed: u64) -> Vec<Point3> {
 }
 
 /// A streaming stack that has seen real churn: three frames, so the
-/// shards carry garbage slots, re-baked leaves and directory state —
-/// the state the auditor must certify.
+/// shards have been rebuilt by frame updates, retired globals sit on
+/// the free list and generation tags have advanced — the state the
+/// auditor must certify.
 fn churned_extractor(seed: u64) -> StreamingExtractor {
     let mut ex = StreamingExtractor::new(TreeMode::Bonsai, KdTreeConfig::default(), 3);
     for frame in 0..3 {
@@ -195,6 +196,71 @@ fn quarantined_shards_serve_partial_results_with_coverage() {
     assert_eq!(
         healed.clusters, full.clusters,
         "seed {seed}: re-admission changed serving"
+    );
+}
+
+/// A full-churn frame ingested while shard 0 is quarantined: no
+/// addition lands in shard 0, the deletes of its points stay queued,
+/// and coverage stays partial. Healing then serves exactly the
+/// clusters of a fresh extraction over the frame, with full coverage.
+#[test]
+fn quarantined_shard_stays_frozen_through_a_full_churn_frame() {
+    let seed = 13u64;
+    let mut ex = churned_extractor(seed);
+    ex.chaos_router_mut().quarantine(0);
+    let owned: Vec<u32> = ex
+        .live_indices()
+        .filter(|&g| ex.router().shard_of(g) == Some(0))
+        .collect();
+    assert!(!owned.is_empty(), "seed {seed}: shard 0 owns no point");
+
+    // Every point moves: nothing of the live set survives.
+    let frame: Vec<Point3> = scene(3.0, seed + 10)
+        .into_iter()
+        .map(|p| p + Point3::new(0.0, 0.0, 0.25))
+        .collect();
+    assert_eq!(
+        ex.diff(&frame).removed.len(),
+        ex.num_live(),
+        "seed {seed}: frame is not a full churn"
+    );
+    let globals = ex.ingest_frame(&frame);
+    for &g in &globals {
+        assert_ne!(
+            ex.router().shard_of(g),
+            Some(0),
+            "seed {seed}: addition {g} routed into the quarantined shard"
+        );
+    }
+    let mut queued = ex.router().pending_deletes(0).to_vec();
+    queued.sort_unstable();
+    assert_eq!(queued, owned, "seed {seed}: shard 0's deletes not queued");
+    for &g in &owned {
+        assert_eq!(ex.router().shard_of(g), Some(0), "seed {seed}: {g} retired");
+    }
+    let partial = ex.extract(0.5, 1, 100_000);
+    assert!(!partial.coverage.complete, "seed {seed}: coverage complete");
+
+    let report = ex.heal();
+    assert!(
+        report.clean && report.rebuilt.contains(&0),
+        "seed {seed}: {report:?}"
+    );
+    assert!(ex.router().pending_deletes(0).is_empty(), "seed {seed}");
+    let healed = ex.extract(0.5, 1, 100_000);
+    assert!(healed.coverage.complete, "seed {seed}: coverage after heal");
+    let fresh = extract_euclidean_clusters_batched(
+        frame.clone(),
+        0.5,
+        1,
+        100_000,
+        KdTreeConfig::default(),
+        TreeMode::Bonsai,
+    );
+    assert_eq!(
+        coord_clusters(|g| ex.point(g), &healed.clusters),
+        coord_clusters(|i| frame[i as usize], &fresh.clusters),
+        "seed {seed}: healed stack serves the frame differently than a fresh extraction"
     );
 }
 

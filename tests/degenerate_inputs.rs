@@ -1,7 +1,7 @@
 //! Degenerate-input pinning across all three tree modes (Baseline /
 //! Bonsai / SoftwareCodec), for every radius-search front-end: the
 //! instrumented `LeafProcessor` paths, the fast `RadiusSearchEngine`,
-//! and the sharded `ShardRouter`.
+//! the sharded `ShardRouter` and the `StreamingExtractor` on top of it.
 //!
 //! Covers the two bug classes this repo's PR 2 fixed and guards:
 //!
@@ -17,8 +17,12 @@
 //!   points, `scan_stride: 0` and a map without cells must not panic,
 //!   and the production alignment (batched engine lookups) must equal
 //!   the simulator-instrumented one bit for bit.
+//! * **Degenerate frame streams** — a frame with no finite point, a
+//!   frame translated outside every shard box and a thousand coincident
+//!   points must stream through `StreamingExtractor` without a panic,
+//!   with a clean audit and with the clusters of a fresh extraction.
 
-use kd_bonsai::cluster::TreeMode;
+use kd_bonsai::cluster::{extract_euclidean_clusters_batched, StreamingExtractor, TreeMode};
 use kd_bonsai::core::{
     BonsaiTree, RadiusSearchEngine, ShardConfig, ShardRouter, SoftwareCodecProcessor,
 };
@@ -566,6 +570,96 @@ fn full_deletion_then_reinsertion_stays_consistent() {
     let hits = tree.radius_search_simple(p, 0.1);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].index, idx);
+}
+
+// ---------------------------------------------------------------------------
+// Degenerate frame streams through the streaming extractor.
+// ---------------------------------------------------------------------------
+
+/// Ingests `frames` in order into a fresh extractor for every mode and
+/// two shard counts. After each frame the extractor must audit clean
+/// and serve the same clusters (as member-coordinate multisets) as a
+/// fresh extraction over the frame's finite points.
+fn assert_stream_matches_fresh(frames: &[Vec<Point3>], label: &str) {
+    let key = |p: Point3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+    let norm = |clusters: &[Vec<u32>], point: &dyn Fn(u32) -> Point3| {
+        let mut v: Vec<Vec<[u32; 3]>> = clusters
+            .iter()
+            .map(|c| {
+                let mut w: Vec<[u32; 3]> = c.iter().map(|&i| key(point(i))).collect();
+                w.sort_unstable();
+                w
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    for mode in MODES {
+        for shards in [1, 3] {
+            let mut ex = StreamingExtractor::new(mode, KdTreeConfig::default(), shards);
+            for (k, frame) in frames.iter().enumerate() {
+                let tag = format!("{label} {mode:?} shards {shards} frame {k}");
+                ex.ingest_frame(frame);
+                let finite: Vec<Point3> = frame.iter().copied().filter(|p| p.is_finite()).collect();
+                assert_eq!(ex.num_live(), finite.len(), "{tag}");
+                let audit = ex.audit();
+                assert!(audit.is_empty(), "{tag}: audit: {audit:?}");
+                let streamed = ex.extract(0.5, 1, 100_000);
+                let fresh = extract_euclidean_clusters_batched(
+                    finite.clone(),
+                    0.5,
+                    1,
+                    100_000,
+                    KdTreeConfig::default(),
+                    mode,
+                );
+                assert_eq!(
+                    norm(&streamed.clusters, &|g| ex.point(g)),
+                    norm(&fresh.clusters, &|i| finite[i as usize]),
+                    "{tag}"
+                );
+            }
+        }
+    }
+}
+
+/// A populated frame, then one with no finite point (every shard
+/// empties out), then a populated frame again (an emptied shard
+/// revives).
+#[test]
+fn extractor_survives_an_all_non_finite_frame() {
+    let blank: Vec<Point3> = (0..40)
+        .map(|i| match i % 3 {
+            0 => Point3::new(f32::NAN, 0.0, 0.0),
+            1 => Point3::new(0.0, f32::INFINITY, 0.0),
+            _ => Point3::new(0.0, 0.0, f32::NEG_INFINITY),
+        })
+        .collect();
+    let frames = [lane_cloud(200), blank, lane_cloud(150)];
+    assert_stream_matches_fresh(&frames, "non-finite frame");
+}
+
+/// A frame translated 1 km outside every shard box, then back: every
+/// addition lands outside the boxes it is routed against.
+#[test]
+fn extractor_follows_a_frame_translated_outside_every_shard_box() {
+    let near = lane_cloud(200);
+    let far: Vec<Point3> = near
+        .iter()
+        .map(|&p| p + Point3::new(1000.0, 0.0, 0.0))
+        .collect();
+    let frames = [near.clone(), far, near];
+    assert_stream_matches_fresh(&frames, "translated frame");
+}
+
+/// One coordinate repeated 1000 times, then a frame that keeps half of
+/// the copies: exact-coordinate matching must pair duplicates
+/// one for one and the shards must stay consistent.
+#[test]
+fn extractor_handles_a_thousand_coincident_points() {
+    let p = Point3::new(1.0, 2.0, 3.0);
+    let frames = [vec![p; 1000], vec![p; 500]];
+    assert_stream_matches_fresh(&frames, "coincident points");
 }
 
 // ---------------------------------------------------------------------------

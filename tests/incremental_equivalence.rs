@@ -457,7 +457,12 @@ proptest! {
     }
 
     /// End-to-end churn: streaming cluster extraction over mutating
-    /// frames equals a from-scratch extraction of every frame.
+    /// frames equals a from-scratch extraction of every frame. Rounds
+    /// 0–2 drop and add a few points, round 3 replaces every point and
+    /// round 4 repeats the frame unchanged. After every round the index
+    /// holds no garbage slots or dead points, every removed global is
+    /// retired (dead, generation advanced), and the global index space
+    /// stays within twice the largest frame.
     #[test]
     fn streaming_clusters_equal_fresh_extraction_under_churn(
         cloud in arb_cloud(90),
@@ -470,17 +475,61 @@ proptest! {
         for mode in MODES {
             let mut ex = StreamingExtractor::new(mode, KdTreeConfig::default(), shards);
             let mut frame = cloud.clone();
-            for round in 0..3 {
-                // Mutate the frame: drop a deterministic slice, add
-                // churn points.
-                let drop = round * 7 % frame.len().max(1);
-                frame.drain(..drop.min(frame.len()));
-                frame.extend(churn.iter().skip(round).step_by(3).copied());
+            let mut largest = 0;
+            for round in 0..5 {
+                match round {
+                    // Mutate the frame: drop a deterministic slice, add
+                    // churn points.
+                    0..=2 => {
+                        let drop = round * 7 % frame.len().max(1);
+                        frame.drain(..drop.min(frame.len()));
+                        frame.extend(churn.iter().skip(round).step_by(3).copied());
+                    }
+                    // Full replacement: every point moves, to outside
+                    // every shard box.
+                    3 => {
+                        for p in &mut frame {
+                            p.x += 200.0;
+                        }
+                    }
+                    // Zero churn: the same frame again.
+                    _ => {}
+                }
+                largest = largest.max(frame.len());
+                let update = ex.diff(&frame);
+                if round == 3 {
+                    prop_assert_eq!(update.removed.len(), ex.num_live(), "full replacement");
+                }
+                if round == 4 {
+                    prop_assert_eq!(update.churn(), 0, "zero churn");
+                }
+                let generations: Vec<Option<u32>> =
+                    update.removed.iter().map(|&g| ex.router().generation(g)).collect();
 
                 ex.ingest_frame(&frame);
                 prop_assert_eq!(ex.num_live(), frame.len());
                 let audit = ex.audit();
                 prop_assert!(audit.is_empty(), "round {}: audit: {:?}", round, audit);
+                let router = ex.router();
+                prop_assert_eq!(router.garbage_slots(), 0, "round {}", round);
+                for i in 0..router.num_shards() {
+                    prop_assert_eq!(
+                        router.shard_fragmentation(i).0, 0,
+                        "round {}: shard {} holds dead points or garbage", round, i
+                    );
+                }
+                for (&g, &before) in update.removed.iter().zip(&generations) {
+                    prop_assert!(ex.try_point(g).is_err(), "round {}: removed {} live", round, g);
+                    let after = router.generation(g);
+                    prop_assert!(
+                        after > before,
+                        "round {}: removed {} not retired ({:?} -> {:?})", round, g, before, after
+                    );
+                }
+                prop_assert!(
+                    ex.points_ever() <= 2 * largest,
+                    "round {}: {} globals for frames of at most {}", round, ex.points_ever(), largest
+                );
                 let streamed = ex.extract(tolerance, 1, 100_000);
                 let fresh = extract_euclidean_clusters_batched(
                     frame.clone(), tolerance, 1, 100_000, KdTreeConfig::default(), mode);
