@@ -241,53 +241,33 @@ pub fn extract_euclidean_clusters(
     }
 }
 
-/// Frontier size past which a BFS round fans out across threads. Below
-/// this the scoped-thread setup costs more than the searches.
-#[cfg(feature = "parallel")]
-const PARALLEL_FRONTIER_MIN: usize = 512;
-
 /// A whole-batch radius searcher the BFS can drain frontiers through:
-/// the single-tree engine or the shard router, with the same
-/// sequential/parallel split.
+/// the single-tree engine or the shard router. With the `parallel`
+/// feature a frontier of at least
+/// [`PARALLEL_FRONTIER_MIN`](bonsai_core::fanout::PARALLEL_FRONTIER_MIN)
+/// queries fans out across threads (smaller ones stay on the caller,
+/// where thread startup would cost more than the searches); the output
+/// is identical either way.
 pub(crate) trait FrontierSearcher {
-    fn batch_seq(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch);
-    #[cfg(feature = "parallel")]
-    fn batch_par(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch);
+    fn search_frontier(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch);
 }
 
 impl FrontierSearcher for RadiusSearchEngine<'_> {
-    fn batch_seq(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
+    fn search_frontier(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
+        #[cfg(feature = "parallel")]
+        return self.search_batch_parallel(queries, radius, batch, 0);
+        #[cfg(not(feature = "parallel"))]
         self.search_batch(queries, radius, batch);
-    }
-    #[cfg(feature = "parallel")]
-    fn batch_par(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
-        self.search_batch_parallel(queries, radius, batch, 0);
     }
 }
 
 impl FrontierSearcher for ShardRouter {
-    fn batch_seq(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
+    fn search_frontier(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
+        #[cfg(feature = "parallel")]
+        return self.search_batch_parallel(queries, radius, batch, 0);
+        #[cfg(not(feature = "parallel"))]
         self.search_batch(queries, radius, batch);
     }
-    #[cfg(feature = "parallel")]
-    fn batch_par(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
-        self.search_batch_parallel(queries, radius, batch, 0);
-    }
-}
-
-/// Searches one BFS frontier, in parallel when the frontier is large
-/// enough to amortize thread startup.
-pub(crate) fn search_frontier<S: FrontierSearcher>(
-    searcher: &S,
-    queries: &[Point3],
-    tolerance: f32,
-    batch: &mut QueryBatch,
-) {
-    #[cfg(feature = "parallel")]
-    if queries.len() >= PARALLEL_FRONTIER_MIN {
-        return searcher.batch_par(queries, tolerance, batch);
-    }
-    searcher.batch_seq(queries, tolerance, batch);
 }
 
 /// The level-synchronous BFS shared by the batched, sharded and
@@ -426,7 +406,7 @@ pub fn extract_euclidean_clusters_batched(
         min_cluster_size,
         max_cluster_size,
         &mut search_stats,
-        |queries, batch| search_frontier(&engine, queries, tolerance, batch),
+        |queries, batch| engine.search_frontier(queries, tolerance, batch),
     );
 
     ClusterOutput {
@@ -496,7 +476,7 @@ pub fn extract_euclidean_clusters_sharded(
         min_cluster_size,
         max_cluster_size,
         &mut search_stats,
-        |queries, batch| search_frontier(&router, queries, tolerance, batch),
+        |queries, batch| router.search_frontier(queries, tolerance, batch),
     );
 
     ClusterOutput {

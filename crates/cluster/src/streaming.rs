@@ -44,7 +44,7 @@ use bonsai_core::{
 use bonsai_geom::Point3;
 use bonsai_kdtree::{AuditViolation, KdTreeConfig, SearchStats};
 
-use crate::extract::{bfs_connected_clusters, search_frontier, ClusterOutput, TreeMode};
+use crate::extract::{bfs_connected_clusters, ClusterOutput, FrontierSearcher, TreeMode};
 use crate::pipeline::PipelineError;
 
 /// One frame's difference against the live point set: coordinates to
@@ -487,7 +487,7 @@ impl StreamingExtractor {
             min_cluster_size,
             max_cluster_size,
             &mut search_stats,
-            |queries, batch| search_frontier(&self.router, queries, tolerance, batch),
+            |queries, batch| self.router.search_frontier(queries, tolerance, batch),
         );
         ClusterOutput {
             clusters,

@@ -206,8 +206,11 @@ impl<'t> RadiusSearchEngine<'t> {
     }
 
     /// [`search_batch`](RadiusSearchEngine::search_batch) fanned out
-    /// over scoped worker threads (`threads == 0` uses the machine's
-    /// available parallelism). Results are merged in query order, so
+    /// over scoped worker threads through [`fanout`](crate::fanout)
+    /// (`threads == 0` uses the machine's available parallelism;
+    /// batches below
+    /// [`PARALLEL_FRONTIER_MIN`](crate::fanout::PARALLEL_FRONTIER_MIN)
+    /// stay on the caller). Results are merged in query order, so
     /// output and aggregate stats are identical to the sequential call.
     #[cfg(feature = "parallel")]
     pub fn search_batch_parallel(

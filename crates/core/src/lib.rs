@@ -38,6 +38,7 @@
 //! assert_eq!(bonsai, baseline);
 //! ```
 
+pub mod fanout;
 pub mod shell;
 
 mod adapt;
@@ -47,8 +48,6 @@ mod chaos;
 mod directory;
 mod engine;
 mod epoch;
-#[cfg(feature = "parallel")]
-mod fanout;
 mod processor;
 mod reduced;
 mod shard;

@@ -992,8 +992,11 @@ impl ShardRouter {
     }
 
     /// [`search_batch`](ShardRouter::search_batch) fanned out over
-    /// scoped worker threads (`threads == 0` uses the machine's
-    /// available parallelism). Results are merged in query order, so
+    /// scoped worker threads through [`fanout`](crate::fanout)
+    /// (`threads == 0` uses the machine's available parallelism;
+    /// batches below
+    /// [`PARALLEL_FRONTIER_MIN`](crate::fanout::PARALLEL_FRONTIER_MIN)
+    /// stay on the caller). Results are merged in query order, so
     /// output and aggregate stats are identical to the sequential call.
     #[cfg(feature = "parallel")]
     pub fn search_batch_parallel(
@@ -2188,7 +2191,9 @@ impl RouterSnapshot {
     }
 
     /// [`search_batch`](RouterSnapshot::search_batch) fanned out over
-    /// scoped worker threads, identical output and stats.
+    /// scoped worker threads as
+    /// [`ShardRouter::search_batch_parallel`] does, identical output and
+    /// stats.
     #[cfg(feature = "parallel")]
     pub fn search_batch_parallel(
         &self,

@@ -211,6 +211,11 @@ impl Vec6 {
     pub fn norm(&self) -> f64 {
         self.0.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
+
+    /// Whether every component is finite (neither NaN nor infinite).
+    pub fn is_finite(&self) -> bool {
+        self.0.iter().all(|v| v.is_finite())
+    }
 }
 
 impl Add for Vec6 {

@@ -45,6 +45,33 @@ impl Pose {
         }
     }
 
+    /// Creates a pose from a translation and a rotation matrix, keeping
+    /// the matrix exactly and recovering its Z-Y-X Euler angles for
+    /// [`euler`](Pose::euler) and [`to_vec6`](Pose::to_vec6).
+    ///
+    /// A product of rotations can round `sin(pitch)` a hair past ±1;
+    /// the recovery clamps it, so the pitch is ±π/2 there, never NaN.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bonsai_geom::{Mat3, Point3, Pose};
+    ///
+    /// let rotation = Mat3::from_euler(0.1, -0.2, 0.3);
+    /// let pose = Pose::from_translation_rotation(Point3::new(1.0, 2.0, 3.0), rotation);
+    /// assert_eq!(pose.rotation, rotation);
+    /// let [roll, pitch, yaw] = pose.euler();
+    /// assert!((roll - 0.1).abs() < 1e-12 && (pitch + 0.2).abs() < 1e-12);
+    /// assert!((yaw - 0.3).abs() < 1e-12);
+    /// ```
+    pub fn from_translation_rotation(translation: Point3, rotation: Mat3) -> Pose {
+        Pose {
+            rotation,
+            translation,
+            euler: euler_from_matrix(&rotation),
+        }
+    }
+
     /// Creates a pose from a 6-vector `(tx, ty, tz, roll, pitch, yaw)` —
     /// the parameterization the NDT Newton solver optimizes.
     pub fn from_vec6(v: Vec6) -> Pose {
@@ -96,24 +123,14 @@ impl Pose {
         // rotation with negated angles, so the cached Euler angles of an
         // inverse are only used for reporting; recover yaw/pitch/roll from
         // the matrix.
-        let (roll, pitch, yaw) = euler_from_matrix(&rot_t);
-        Pose {
-            rotation: rot_t,
-            translation: t,
-            euler: [roll, pitch, yaw],
-        }
+        Pose::from_translation_rotation(t, rot_t)
     }
 
     /// The composition `self ∘ other` (apply `other` first).
     pub fn compose(&self, other: &Pose) -> Pose {
         let rotation = self.rotation * other.rotation;
         let translation = self.rotation.mul_point(other.translation) + self.translation;
-        let (roll, pitch, yaw) = euler_from_matrix(&rotation);
-        Pose {
-            rotation,
-            translation,
-            euler: [roll, pitch, yaw],
-        }
+        Pose::from_translation_rotation(translation, rotation)
     }
 }
 
@@ -123,13 +140,14 @@ impl Default for Pose {
     }
 }
 
-/// Recovers Z-Y-X Euler angles from a rotation matrix.
-fn euler_from_matrix(r: &Mat3) -> (f64, f64, f64) {
-    // r[2][0] = -sin(pitch)
-    let pitch = (-r[(2, 0)]).asin();
+/// Recovers Z-Y-X Euler angles `[roll, pitch, yaw]` from a rotation
+/// matrix.
+fn euler_from_matrix(r: &Mat3) -> [f64; 3] {
+    // r[2][0] = -sin(pitch), clamped: rounding can carry it past ±1.
+    let pitch = (-r[(2, 0)]).clamp(-1.0, 1.0).asin();
     let roll = r[(2, 1)].atan2(r[(2, 2)]);
     let yaw = r[(1, 0)].atan2(r[(0, 0)]);
-    (roll, pitch, yaw)
+    [roll, pitch, yaw]
 }
 
 #[cfg(test)]
@@ -172,9 +190,27 @@ mod tests {
     #[test]
     fn euler_recovery_matches_construction() {
         let pose = Pose::from_translation_euler(Point3::ZERO, 0.3, -0.2, 1.4);
-        let (roll, pitch, yaw) = euler_from_matrix(&pose.rotation);
+        let [roll, pitch, yaw] = euler_from_matrix(&pose.rotation);
         assert!((roll - 0.3).abs() < 1e-9);
         assert!((pitch + 0.2).abs() < 1e-9);
         assert!((yaw - 1.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pitch_recovery_clamps_a_sine_rounded_past_one() {
+        // A quarter pitch up with `r[2][0]` one ulp beyond −1, as a
+        // product of rotations can round it: asin would return NaN.
+        let past = -1.0 - f64::EPSILON;
+        assert!(past < -1.0);
+        let rotation = Mat3::from_rows([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [past, 0.0, 0.0]);
+        let pose = Pose::from_translation_rotation(Point3::new(1.0, 2.0, 3.0), rotation);
+        assert_eq!(pose.euler()[1], std::f64::consts::FRAC_PI_2);
+        assert!(pose.to_vec6().is_finite());
+        assert_eq!(pose.rotation, rotation);
+        assert_eq!(pose.translation, Point3::new(1.0, 2.0, 3.0));
+        // In range, the recovery is exactly the unclamped one.
+        let tilted = Mat3::from_euler(0.3, -0.2, 1.4);
+        let from_parts = Pose::from_translation_rotation(Point3::ZERO, tilted);
+        assert_eq!(from_parts.euler()[1], (-tilted[(2, 0)]).asin());
     }
 }

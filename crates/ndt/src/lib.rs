@@ -10,14 +10,25 @@
 //! K-D Bonsai applies.
 //!
 //! Production alignment (simulator disabled) gathers neighbours through
-//! the batched engine: each Newton iteration transforms the strided
-//! scan, answers all of its points with one
+//! the batched engine. Each Newton iteration splits the strided scan
+//! into contiguous ranges through
+//! [`bonsai_core::fanout`], one per core — with the
+//! `parallel` feature and at least
+//! [`PARALLEL_FRONTIER_MIN`](bonsai_core::fanout::PARALLEL_FRONTIER_MIN)
+//! points; otherwise one range on the caller's thread. Each worker
+//! transforms its range, answers it with one sequential
 //! [`RadiusSearchEngine::search_batch`](bonsai_core::RadiusSearchEngine::search_batch)
-//! call, then runs the score/gradient/Hessian math over the results in
-//! point order. The instrumented per-query walker (a leaf processor
-//! driven through the simulator) runs only under an enabled
+//! call and computes the range's per-point Newton terms. The Jacobian
+//! depends only on the scan point, so a point's neighbour cells fold
+//! into one 3×3 `M = Σ w·B` and one `g = Σ w·B·q` before `Jᵀ M J` and
+//! `Jᵀ g` are formed once per point. The caller then folds every
+//! point's terms in scan-point order, so pose, score, iteration count
+//! and search stats are bit-identical for any worker count. The
+//! instrumented per-query walker (a leaf processor driven through the
+//! simulator) runs only under an enabled
 //! [`SimEngine`](bonsai_sim::SimEngine), so Figure 2's event stream is
-//! recorded. The engine returns the leaf processors' neighbours in the
+//! recorded; its points go through the same per-point terms and the
+//! same fold. The engine returns the leaf processors' neighbours in the
 //! same order, so both paths give bit-identical poses.
 //!
 //! Deviations from PCL's implementation, both standard and

@@ -1,4 +1,6 @@
-use bonsai_core::{BonsaiLeafProcessor, BonsaiTree, RadiusSearchEngine};
+use std::ops::Range;
+
+use bonsai_core::{fanout, BonsaiLeafProcessor, BonsaiTree, RadiusSearchEngine};
 use bonsai_geom::{Mat3, Mat6, Point3, Pose, Vec6};
 use bonsai_isa::Machine;
 use bonsai_kdtree::{
@@ -77,12 +79,19 @@ impl AlignResult {
 ///
 /// Each Newton iteration transforms the strided scan with the current
 /// pose and gathers every point's neighbour cells. With the simulator
-/// disabled (production) the whole iteration is one
-/// [`RadiusSearchEngine::search_batch`] call; with it enabled, each
-/// point walks the instrumented tree through a leaf processor so the
-/// simulator records Figure 2's event stream. Both sources return the
-/// same neighbours in the same order, so the pose is bit-identical
-/// either way.
+/// disabled (production) the strided scan is split into contiguous
+/// ranges through [`bonsai_core::fanout`] (more than one only with the
+/// `parallel` feature, at least
+/// [`PARALLEL_FRONTIER_MIN`](bonsai_core::fanout::PARALLEL_FRONTIER_MIN)
+/// points and more than one core): each worker answers its range with
+/// one [`RadiusSearchEngine::search_batch`] call and computes the
+/// range's per-point Newton terms, and the terms are then folded in
+/// scan-point order. With the simulator enabled, each point walks the
+/// instrumented tree through a leaf processor so the simulator records
+/// Figure 2's event stream, and its terms go through the same per-point
+/// function and the same fold. Both sources return the same neighbours
+/// in the same order, so the pose is bit-identical either way, for any
+/// worker count.
 ///
 /// See the [crate docs](crate) for the algorithm notes and an example.
 #[derive(Debug)]
@@ -91,13 +100,11 @@ pub struct NdtMatcher {
     cfg: NdtConfig,
     index: MapIndex,
     machine: Machine,
-    d1: f64,
-    d2: f64,
-    /// Lookup buffers, reused across alignments: the transformed scan
-    /// points of one iteration and their batched results, or the
-    /// instrumented walk's traversal stack and per-point hits.
-    queries: Vec<Point3>,
-    batch: QueryBatch,
+    gauss: Gauss,
+    /// Per-worker buffers of the batched lookups, reused across
+    /// iterations and alignments.
+    workers: Vec<RangeWork>,
+    /// The instrumented walk's traversal stack and per-point hits.
     scratch: SearchScratch,
     neighbors: Vec<Neighbor>,
 }
@@ -113,12 +120,22 @@ enum MapIndex {
 impl NdtMatcher {
     /// Builds the matcher: fits the centroid k-d tree in the requested
     /// mode and precomputes Magnusson's mixture constants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.outlier_ratio` is not strictly between 0 and 1:
+    /// the mixture constants are NaN there, and so would every pose be.
     pub fn new(
         sim: &mut SimEngine,
         map: NdtMap,
         cfg: NdtConfig,
         mode: NdtSearchMode,
     ) -> NdtMatcher {
+        assert!(
+            cfg.outlier_ratio > 0.0 && cfg.outlier_ratio < 1.0,
+            "outlier_ratio must lie strictly between 0 and 1, got {}",
+            cfg.outlier_ratio
+        );
         let centroids = map.centroids();
         let index = match mode {
             NdtSearchMode::Baseline => {
@@ -143,10 +160,8 @@ impl NdtMatcher {
             cfg,
             index,
             machine: Machine::new(),
-            d1,
-            d2,
-            queries: Vec::new(),
-            batch: QueryBatch::new(),
+            gauss: Gauss { d1, d2 },
+            workers: Vec::new(),
             scratch: SearchScratch::new(),
             neighbors: Vec::new(),
         }
@@ -159,7 +174,23 @@ impl NdtMatcher {
 
     /// Aligns `scan` (vehicle frame) to the map starting from `guess`,
     /// returning the refined pose.
+    ///
+    /// A Newton step that comes out non-finite ends the alignment
+    /// unconverged, on the last finite pose.
     pub fn align(&mut self, sim: &mut SimEngine, scan: &[Point3], guess: &Pose) -> AlignResult {
+        self.align_threads(sim, scan, guess, 0)
+    }
+
+    /// [`align`](NdtMatcher::align) with `threads` fan-out workers
+    /// requested (`0` = the machine's available parallelism, resolved
+    /// by [`fanout::workers`]); the result does not depend on it.
+    fn align_threads(
+        &mut self,
+        sim: &mut SimEngine,
+        scan: &[Point3],
+        guess: &Pose,
+        threads: usize,
+    ) -> AlignResult {
         let mut pose = *guess;
         let mut stats = SearchStats::default();
         let mut iterations = 0;
@@ -167,10 +198,22 @@ impl NdtMatcher {
         let mut score = 0.0;
         let radius = self.map.resolution();
         let stride = self.cfg.scan_stride.max(1);
+        let points = scan.len().div_ceil(stride);
+        let workers = fanout::workers(points, threads);
+        if self.workers.len() < workers {
+            self.workers.resize_with(workers, RangeWork::default);
+        }
         let scan_addr = sim.alloc(scan.len() as u64 * 16, 64);
-        let engine = match &self.index {
-            MapIndex::Baseline(tree) => RadiusSearchEngine::baseline(tree),
-            MapIndex::Bonsai(tree) => RadiusSearchEngine::bonsai(tree),
+        let lookup = Lookup {
+            engine: match &self.index {
+                MapIndex::Baseline(tree) => RadiusSearchEngine::baseline(tree),
+                MapIndex::Bonsai(tree) => RadiusSearchEngine::bonsai(tree),
+            },
+            map: &self.map,
+            gauss: self.gauss,
+            scan,
+            stride,
+            radius,
         };
         let mut walker = sim
             .is_enabled()
@@ -178,23 +221,25 @@ impl NdtMatcher {
 
         for _ in 0..self.cfg.max_iterations {
             iterations += 1;
-            let mut step = NewtonStep::new(&self.map, self.d1, self.d2);
+            let mut sum = NewtonSum::default();
             match walker.as_mut() {
                 None => {
-                    // Transform every point, look them all up at once,
-                    // then run the math in the same point order.
-                    self.queries.clear();
-                    self.queries
-                        .extend(scan.iter().step_by(stride).map(|&p| pose.apply(p)));
-                    engine.search_batch(&self.queries, radius, &mut self.batch);
-                    stats += *self.batch.stats();
-                    let points = scan.iter().step_by(stride).zip(&self.queries);
-                    for ((&p, &x), hits) in points.zip(self.batch.iter()) {
-                        step.add(sim, x, pose.rotation.mul_point(p), hits);
+                    // Each worker transforms and looks up its range of
+                    // the strided scan, then computes the range's terms;
+                    // folding the workers in order keeps point order.
+                    let at = pose;
+                    fanout::for_each_range(points, &mut self.workers[..workers], |range, work| {
+                        work.run(&lookup, &at, range)
+                    });
+                    for work in &self.workers[..workers] {
+                        stats += *work.batch.stats();
+                        sum.fold(&work.terms);
                     }
                 }
                 Some(walker) => {
                     // Simulator on: one instrumented walk per point.
+                    let terms = &mut self.workers[0].terms;
+                    terms.clear();
                     for (i, &p) in scan.iter().enumerate().step_by(stride) {
                         // Transform the point with the current estimate.
                         sim.set_kernel(Kernel::NdtMath);
@@ -211,16 +256,23 @@ impl NdtMatcher {
                             &mut stats,
                             &mut self.scratch,
                         );
-                        step.add(sim, x, rotated, &self.neighbors);
+                        sim.set_kernel(Kernel::NdtMath);
+                        for nb in &self.neighbors {
+                            sim.load(self.map.cell_addr(nb.index), CELL_STRIDE as u32);
+                            sim.exec(OpClass::FpAlu, 90); // q, Bq, score, J products
+                        }
+                        terms.push(&self.map, self.gauss, x, rotated, &self.neighbors);
                     }
+                    sum.fold(terms);
                 }
             }
-            score = step.score;
+            score = sum.score;
 
             sim.set_kernel(Kernel::NdtMath);
             sim.exec(OpClass::FpAlu, 300); // 6×6 solve
-            step.hessian.add_diagonal(self.cfg.damping + 1e-9);
-            let Some(mut delta) = step.hessian.solve(step.gradient * -1.0) else {
+            let mut hessian = sum.hessian();
+            hessian.add_diagonal(self.cfg.damping + 1e-9);
+            let Some(mut delta) = hessian.solve(Vec6(sum.gradient) * -1.0) else {
                 break;
             };
             // Step safeguard (PCL clamps the Newton step the same way).
@@ -228,12 +280,17 @@ impl NdtMatcher {
             if norm > self.cfg.max_step {
                 delta = delta * (self.cfg.max_step / norm);
             }
+            // A NaN or infinite step would poison the pose: stop on the
+            // last finite one, unconverged.
+            if !delta.is_finite() {
+                break;
+            }
             // Apply: t += δt; R = ΔR(δω)·R.
             let delta_rot = Mat3::from_euler(delta[3], delta[4], delta[5]);
             let new_rot = delta_rot * pose.rotation;
             let new_t =
                 pose.translation + Point3::new(delta[0] as f32, delta[1] as f32, delta[2] as f32);
-            pose = pose_from_parts(new_rot, new_t);
+            pose = Pose::from_translation_rotation(new_t, new_rot);
             if delta.norm() < self.cfg.epsilon {
                 converged = true;
                 break;
@@ -246,6 +303,59 @@ impl NdtMatcher {
             score,
             converged,
             search_stats: stats,
+        }
+    }
+}
+
+/// Magnusson's mixture constants: a neighbour cell scores `−d1·e` and
+/// weighs `d1·d2·e` in the gradient and Hessian, `e = exp(−d2/2·qᵀBq)`.
+#[derive(Debug, Clone, Copy)]
+struct Gauss {
+    d1: f64,
+    d2: f64,
+}
+
+/// What every worker of one batched Newton iteration reads.
+struct Lookup<'a> {
+    engine: RadiusSearchEngine<'a>,
+    map: &'a NdtMap,
+    gauss: Gauss,
+    scan: &'a [Point3],
+    stride: usize,
+    radius: f32,
+}
+
+/// One fan-out worker's buffers: the transformed points of its range of
+/// the strided scan, their `R·p` parts, their lookups and their Newton
+/// terms.
+#[derive(Debug, Default)]
+struct RangeWork {
+    queries: Vec<Point3>,
+    rotated: Vec<Point3>,
+    batch: QueryBatch,
+    terms: Terms,
+}
+
+impl RangeWork {
+    /// Transforms strided scan points `range` with `pose`, answers them
+    /// with one sequential `search_batch` and computes their terms, in
+    /// point order.
+    fn run(&mut self, lookup: &Lookup<'_>, pose: &Pose, range: Range<usize>) {
+        self.queries.clear();
+        self.rotated.clear();
+        let points = lookup.scan.iter().skip(range.start * lookup.stride);
+        for &p in points.step_by(lookup.stride).take(range.len()) {
+            let rotated = pose.rotation.mul_point(p);
+            self.rotated.push(rotated);
+            self.queries.push(rotated + pose.translation);
+        }
+        lookup
+            .engine
+            .search_batch(&self.queries, lookup.radius, &mut self.batch);
+        self.terms.clear();
+        let points = self.queries.iter().zip(&self.rotated);
+        for ((&x, &rotated), hits) in points.zip(self.batch.iter()) {
+            self.terms.push(lookup.map, lookup.gauss, x, rotated, hits);
         }
     }
 }
@@ -291,38 +401,43 @@ impl<'a> Walker<'a> {
     }
 }
 
-/// One Newton iteration's score, gradient and Gauss–Newton Hessian,
-/// accumulated point by point.
-struct NewtonStep<'m> {
-    map: &'m NdtMap,
-    d1: f64,
-    d2: f64,
-    score: f64,
-    gradient: Vec6,
-    hessian: Mat6,
+/// Upper-triangle entries of a symmetric 6×6, row-major.
+const SYM6: usize = 21;
+
+/// The Newton terms of a run of scan points, in point order.
+#[derive(Debug, Default)]
+struct Terms {
+    /// `d1·e` of every (point, neighbour cell) pair.
+    score: Vec<f64>,
+    /// `Jᵀ g` and the upper triangle of `Jᵀ M J` of every point with at
+    /// least one neighbour.
+    points: Vec<([f64; 6], [f64; SYM6])>,
 }
 
-impl<'m> NewtonStep<'m> {
-    fn new(map: &'m NdtMap, d1: f64, d2: f64) -> NewtonStep<'m> {
-        NewtonStep {
-            map,
-            d1,
-            d2,
-            score: 0.0,
-            gradient: Vec6::ZERO,
-            hessian: Mat6::ZERO,
-        }
+impl Terms {
+    fn clear(&mut self) {
+        self.score.clear();
+        self.points.clear();
     }
 
-    /// Adds the terms of one transformed scan point `x` (`rotated` is
-    /// `R·p`, before translation) against each of its neighbour cells.
-    fn add(&mut self, sim: &mut SimEngine, x: Point3, rotated: Point3, neighbors: &[Neighbor]) {
-        sim.set_kernel(Kernel::NdtMath);
-        for nb in neighbors {
-            let cell = &self.map.cells()[nb.index as usize];
-            sim.load(self.map.cell_addr(nb.index), CELL_STRIDE as u32);
-            sim.exec(OpClass::FpAlu, 90); // q, Bq, score, J products
-
+    /// Appends the terms of one transformed scan point `x` (`rotated` is
+    /// `R·p`, before translation) against its neighbour cells.
+    ///
+    /// The Jacobian `J = [I | −[v]×]`, `v = R·p`, depends only on the
+    /// point, so the cells fold into `M = Σ w·B` and `g = Σ w·B·q` first
+    /// and `J` is applied once: gradient `Jᵀ g`, Gauss–Newton Hessian
+    /// `Jᵀ M J`. The exact Newton Hessian subtracts `d2·(JᵀBq)(JᵀBq)ᵀ`
+    /// per cell, which is indefinite away from the optimum; PCL
+    /// compensates with a More–Thuente line search, we keep the PSD
+    /// form instead (documented deviation, same fixed point).
+    fn push(&mut self, map: &NdtMap, gauss: Gauss, x: Point3, rotated: Point3, cells: &[Neighbor]) {
+        if cells.is_empty() {
+            return;
+        }
+        let mut m = [0.0f64; 6]; // M's upper triangle: 00 01 02 11 12 22
+        let mut g = [0.0f64; 3];
+        for nb in cells {
+            let cell = &map.cells()[nb.index as usize];
             let q = [
                 (x.x - cell.mean.x) as f64,
                 (x.y - cell.mean.y) as f64,
@@ -331,74 +446,117 @@ impl<'m> NewtonStep<'m> {
             let b: &Mat3 = &cell.inv_cov;
             let bq = b.mul_vec(q);
             let u = q[0] * bq[0] + q[1] * bq[1] + q[2] * bq[2];
-            let e = (-0.5 * self.d2 * u).exp();
-            self.score -= self.d1 * e;
-            let w = self.d1 * self.d2 * e;
-
-            // Jacobian columns: translation = I, rotation = −[v]×
-            // with v = R·p.
-            let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
-            let mut jt_bq = [0.0f64; 6]; // (Jᵀ B q)
-            jt_bq[0] = bq[0];
-            jt_bq[1] = bq[1];
-            jt_bq[2] = bq[2];
-            // (−[v]×)ᵀ B q = (v × Bq) … column k of −[v]× is e_k×v.
-            jt_bq[3] = v[1] * bq[2] - v[2] * bq[1];
-            jt_bq[4] = v[2] * bq[0] - v[0] * bq[2];
-            jt_bq[5] = v[0] * bq[1] - v[1] * bq[0];
-
-            for r in 0..6 {
-                self.gradient[r] += w * jt_bq[r];
+            let e = (-0.5 * gauss.d2 * u).exp();
+            self.score.push(gauss.d1 * e);
+            let w = gauss.d1 * gauss.d2 * e;
+            for r in 0..3 {
+                g[r] += w * bq[r];
             }
-            // Positive-semidefinite Gauss–Newton Hessian
-            // `Σ w·JᵀBJ`. The exact Newton Hessian subtracts
-            // `d2·(JᵀBq)(JᵀBq)ᵀ`, which is indefinite away from
-            // the optimum; PCL compensates with a More–Thuente
-            // line search, we keep the PSD form instead
-            // (documented deviation, same fixed point).
-            let jbj = jt_b_j(b, v);
-            for r in 0..6 {
-                for cc in 0..6 {
-                    self.hessian[(r, cc)] += w * jbj[r][cc];
-                }
+            for (k, (r, c)) in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+                .into_iter()
+                .enumerate()
+            {
+                m[k] += w * b[(r, c)];
             }
         }
+        let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
+        // Column k of −[v]× is e_k × v, so its dot with g is (v × g)_k.
+        let gradient = [
+            g[0],
+            g[1],
+            g[2],
+            v[1] * g[2] - v[2] * g[1],
+            v[2] * g[0] - v[0] * g[2],
+            v[0] * g[1] - v[1] * g[0],
+        ];
+        self.points.push((gradient, jt_m_j(m, v)));
     }
 }
 
-/// `Jᵀ B J` for `J = [I | −[v]×]`, returned as a dense 6×6.
-fn jt_b_j(b: &Mat3, v: [f64; 3]) -> [[f64; 6]; 6] {
-    // Columns of J: c0..c2 = e0..e2, c3..c5 = e_k × v.
-    let cols: [[f64; 3]; 6] = [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.0, -v[2], v[1]], // e0 × v
-        [v[2], 0.0, -v[0]], // e1 × v
-        [-v[1], v[0], 0.0], // e2 × v
-    ];
-    let mut out = [[0.0f64; 6]; 6];
-    for r in 0..6 {
-        let b_cr = b.mul_vec(cols[r]);
-        for c in 0..6 {
-            out[r][c] = cols[c][0] * b_cr[0] + cols[c][1] * b_cr[1] + cols[c][2] * b_cr[2];
-        }
-    }
-    out
+/// The upper triangle of `Jᵀ M J` for `J = [I | C]`, `C = −[v]×`, and
+/// symmetric `M` given by its upper triangle `00 01 02 11 12 22`:
+/// the blocks are `M`, `N = M·C` and `Cᵀ·N`.
+fn jt_m_j(m: [f64; 6], v: [f64; 3]) -> [f64; SYM6] {
+    let [m00, m01, m02, m11, m12, m22] = m;
+    let rows = [[m00, m01, m02], [m01, m11, m12], [m02, m12, m22]];
+    // N[i][k] = row_i(M) · (e_k × v).
+    let n = rows.map(|r| {
+        [
+            r[2] * v[1] - r[1] * v[2],
+            r[0] * v[2] - r[2] * v[0],
+            r[1] * v[0] - r[0] * v[1],
+        ]
+    });
+    // (CᵀN)[k][l] = (e_k × v) · N[:, l].
+    let p = |k: usize, l: usize| match k {
+        0 => v[1] * n[2][l] - v[2] * n[1][l],
+        1 => v[2] * n[0][l] - v[0] * n[2][l],
+        _ => v[0] * n[1][l] - v[1] * n[0][l],
+    };
+    [
+        m00,
+        m01,
+        m02,
+        n[0][0],
+        n[0][1],
+        n[0][2],
+        m11,
+        m12,
+        n[1][0],
+        n[1][1],
+        n[1][2],
+        m22,
+        n[2][0],
+        n[2][1],
+        n[2][2],
+        p(0, 0),
+        p(0, 1),
+        p(0, 2),
+        p(1, 1),
+        p(1, 2),
+        p(2, 2),
+    ]
 }
 
-/// Builds a pose from rotation matrix + translation (recovering Euler
-/// angles for reporting).
-fn pose_from_parts(rotation: Mat3, translation: Point3) -> Pose {
-    // Pose stores Euler angles alongside the matrix; recover them.
-    let pitch = (-rotation[(2, 0)]).asin();
-    let roll = rotation[(2, 1)].atan2(rotation[(2, 2)]);
-    let yaw = rotation[(1, 0)].atan2(rotation[(0, 0)]);
-    let mut pose = Pose::from_translation_euler(translation, roll, pitch, yaw);
-    // Keep the exact matrix (from_euler re-derives an equivalent one, but
-    // exactness helps iteration-to-iteration stability).
-    pose.rotation = rotation;
-    pose
+/// One Newton iteration's score, gradient and Gauss–Newton Hessian
+/// (upper triangle), folded from [`Terms`] in scan-point order.
+#[derive(Debug, Default)]
+struct NewtonSum {
+    score: f64,
+    gradient: [f64; 6],
+    hessian: [f64; SYM6],
+}
+
+impl NewtonSum {
+    /// Adds a run of terms. The score stays the in-order sum of
+    /// per-cell terms; gradient and Hessian add one term per point.
+    fn fold(&mut self, terms: &Terms) {
+        for s in &terms.score {
+            self.score -= s;
+        }
+        for (gradient, hessian) in &terms.points {
+            for (acc, t) in self.gradient.iter_mut().zip(gradient) {
+                *acc += t;
+            }
+            for (acc, t) in self.hessian.iter_mut().zip(hessian) {
+                *acc += t;
+            }
+        }
+    }
+
+    /// The Hessian as a full symmetric 6×6.
+    fn hessian(&self) -> Mat6 {
+        let mut out = Mat6::ZERO;
+        let mut k = 0;
+        for r in 0..6 {
+            for c in r..6 {
+                out[(r, c)] = self.hessian[k];
+                out[(c, r)] = self.hessian[k];
+                k += 1;
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -548,6 +706,126 @@ mod tests {
             good.score,
             bad.score
         );
+    }
+
+    /// The dense `Jᵀ B J` the matcher summed per neighbour cell before
+    /// the per-point factoring, as a reference.
+    fn dense_jt_b_j(b: &Mat3, v: [f64; 3]) -> [[f64; 6]; 6] {
+        let cols: [[f64; 3]; 6] = [
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, -v[2], v[1]], // e0 × v
+            [v[2], 0.0, -v[0]], // e1 × v
+            [-v[1], v[0], 0.0], // e2 × v
+        ];
+        let mut out = [[0.0f64; 6]; 6];
+        for r in 0..6 {
+            let b_cr = b.mul_vec(cols[r]);
+            for c in 0..6 {
+                out[r][c] = cols[c][0] * b_cr[0] + cols[c][1] * b_cr[1] + cols[c][2] * b_cr[2];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn factored_hessian_matches_the_dense_jacobian_product() {
+        let b = Mat3::from_rows([2.0, 0.3, -0.4], [0.3, 1.5, 0.25], [-0.4, 0.25, 3.0]);
+        for v in [[0.0, 0.0, 0.0], [1.5, -2.0, 0.75], [-30.0, 12.5, 4.0]] {
+            let m = [
+                b[(0, 0)],
+                b[(0, 1)],
+                b[(0, 2)],
+                b[(1, 1)],
+                b[(1, 2)],
+                b[(2, 2)],
+            ];
+            let sum = NewtonSum {
+                hessian: jt_m_j(m, v),
+                ..NewtonSum::default()
+            };
+            let got = sum.hessian();
+            let want = dense_jt_b_j(&b, v);
+            for r in 0..6 {
+                for c in 0..6 {
+                    let tol = 1e-12 * want[r][c].abs().max(1.0);
+                    assert!(
+                        (got[(r, c)] - want[r][c]).abs() <= tol,
+                        "v {v:?} ({r}, {c}): {} vs {}",
+                        got[(r, c)],
+                        want[r][c]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fanned_out_iterations_match_sequential_bit_for_bit() {
+        // The strided scan splits into one contiguous range per worker,
+        // and the per-point terms fold in scan-point order, so pose,
+        // score, iterations and search stats cannot depend on the worker
+        // count — below the cut-over (where the work stays on the
+        // caller), at it, past it, and on a length no count divides.
+        let cloud = structured_cloud();
+        let cut = fanout::PARALLEL_FRONTIER_MIN;
+        let cfg = NdtConfig {
+            max_iterations: 6,
+            ..NdtConfig::default()
+        };
+        let guess = Pose::from_translation_euler(Point3::new(0.3, -0.2, 0.05), 0.0, 0.0, 0.02);
+        let mut sim = SimEngine::disabled();
+        let map = NdtMap::build(&mut sim, &cloud, 2.0);
+        for mode in [NdtSearchMode::Baseline, NdtSearchMode::Bonsai] {
+            let mut matcher = NdtMatcher::new(&mut sim, map.clone(), cfg.clone(), mode);
+            for len in [0, 1, cut - 1, cut, cut + 1, 1001] {
+                let scan = &cloud[..len];
+                let sequential = matcher.align_threads(&mut sim, scan, &guess, 1);
+                if len >= cut {
+                    assert!(sequential.search_stats.points_inspected > 0, "{len}");
+                }
+                for threads in [2, 3] {
+                    let fanned = matcher.align_threads(&mut sim, scan, &guess, threads);
+                    assert_eq!(fanned, sequential, "{mode:?} len {len} threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outlier_ratios_outside_the_open_unit_interval_are_rejected() {
+        let cloud = structured_cloud();
+        let mut sim = SimEngine::disabled();
+        let map = NdtMap::build(&mut sim, &cloud, 2.0);
+        for ratio in [0.0, 1.0, -0.1, 1.5, f64::NAN] {
+            let cfg = NdtConfig {
+                outlier_ratio: ratio,
+                ..NdtConfig::default()
+            };
+            let built = std::panic::catch_unwind(|| {
+                let mut sim = SimEngine::disabled();
+                NdtMatcher::new(&mut sim, map.clone(), cfg, NdtSearchMode::Baseline)
+            });
+            assert!(built.is_err(), "outlier_ratio {ratio} accepted");
+        }
+    }
+
+    #[test]
+    fn non_finite_newton_step_stops_on_the_last_finite_pose() {
+        // A NaN damping makes the Hessian, and so the first step, NaN.
+        let cfg = NdtConfig {
+            damping: f64::NAN,
+            ..NdtConfig::default()
+        };
+        let guess = Pose::from_translation_euler(Point3::new(0.4, -0.3, 0.1), 0.0, 0.0, 0.02);
+        for mode in [NdtSearchMode::Baseline, NdtSearchMode::Bonsai] {
+            let r = align_with(&mut SimEngine::disabled(), cfg.clone(), guess, mode);
+            assert!(!r.converged, "{mode:?}");
+            assert_eq!(r.iterations, 1, "{mode:?}");
+            assert_eq!(r.pose, guess, "{mode:?}");
+            assert!(r.score.is_finite() && r.score < 0.0, "{mode:?}");
+        }
     }
 
     /// One small alignment of the structured scene with the simulator

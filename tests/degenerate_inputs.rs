@@ -14,15 +14,18 @@
 //!   f16-approximate rows (|x| > 65504 rounds to ±∞ in binary16) must
 //!   keep all three modes bit-identical in membership.
 //! * **Degenerate NDT alignments** — an empty scan, non-finite scan
-//!   points, `scan_stride: 0` and a map without cells must not panic,
-//!   and the production alignment (batched engine lookups) must equal
-//!   the simulator-instrumented one bit for bit.
+//!   points, `scan_stride: 0`, a map without cells and strided scans
+//!   either side of the fan-out cut-over must not panic, and the
+//!   production alignment (batched engine lookups, fanned out across
+//!   cores past the cut-over) must equal the simulator-instrumented one
+//!   bit for bit.
 //! * **Degenerate frame streams** — a frame with no finite point, a
 //!   frame translated outside every shard box and a thousand coincident
 //!   points must stream through `StreamingExtractor` without a panic,
 //!   with a clean audit and with the clusters of a fresh extraction.
 
 use kd_bonsai::cluster::{extract_euclidean_clusters_batched, StreamingExtractor, TreeMode};
+use kd_bonsai::core::fanout::PARALLEL_FRONTIER_MIN;
 use kd_bonsai::core::{
     BonsaiTree, RadiusSearchEngine, ShardConfig, ShardRouter, SoftwareCodecProcessor,
 };
@@ -758,6 +761,34 @@ fn ndt_zero_scan_stride_means_every_point() {
         let zero = align_both_paths(&scene, &scene, &every(0), mode, "scan_stride 0");
         let one = align_both_paths(&scene, &scene, &every(1), mode, "scan_stride 1");
         assert_eq!(zero, one, "{mode:?}");
+    }
+}
+
+#[test]
+fn ndt_scans_either_side_of_the_fan_out_cut_over_match_the_walk() {
+    // From PARALLEL_FRONTIER_MIN strided points on, a production
+    // Newton iteration splits the scan across cores (on a multi-core
+    // host) and folds the per-point terms back in scan order; one
+    // point fewer stays on the caller. Both must equal the
+    // instrumented per-point walk.
+    let scene = ndt_scene();
+    let cfg = NdtConfig {
+        scan_stride: 2,
+        ..NdtConfig::default()
+    };
+    for strided in [
+        PARALLEL_FRONTIER_MIN - 1,
+        PARALLEL_FRONTIER_MIN,
+        PARALLEL_FRONTIER_MIN + 1,
+    ] {
+        // `2·n − 1` points at stride 2 leave `n` strided points.
+        let scan = &scene[..2 * strided - 1];
+        assert_eq!(scan.iter().step_by(2).count(), strided);
+        let label = format!("{strided} strided points");
+        for mode in NDT_MODES {
+            let r = align_both_paths(&scene, scan, &cfg, mode, &label);
+            assert!(r.search_stats.points_inspected > 0, "{label} ({mode:?})");
+        }
     }
 }
 
