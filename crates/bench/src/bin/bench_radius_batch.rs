@@ -13,12 +13,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use bonsai_bench::workload::{
-    batch_queries, collect_sweep_sets, skewed_queries, urban_cloud, BATCH_CLOUD, BATCH_QUERIES,
-    BATCH_RADIUS, SKEW_STD, SWEEP_RADIUS,
+    batch_queries, collect_sweep_sets, urban_cloud, BATCH_CLOUD, BATCH_QUERIES, BATCH_RADIUS,
+    SWEEP_RADIUS,
 };
-use bonsai_core::{
-    BonsaiTree, CompactionPolicy, RadiusSearchEngine, ShardConfig, ShardPolicy, ShardRouter,
-};
+use bonsai_core::{BonsaiTree, CompactionPolicy, RadiusSearchEngine, ShardConfig, ShardRouter};
 use bonsai_isa::Machine;
 use bonsai_kdtree::{simd, KdTree, KdTreeConfig, QueryBatch, SearchStats};
 use bonsai_sim::SimEngine;
@@ -53,97 +51,6 @@ fn measure_qps(queries: usize, budget_ms: u64, work: impl FnMut() -> usize) -> f
 fn measure_ms(budget_ms: u64, work: impl FnMut() -> usize) -> f64 {
     let (rounds, elapsed) = measure_rounds(budget_ms, work);
     elapsed * 1e3 / rounds as f64
-}
-
-/// Open-loop served p99 (µs) against one published snapshot: requests
-/// arrive on a fixed grid (a slow answer never delays the next
-/// arrival), a harvester thread timestamps each completion at its
-/// condvar wake. The trimmed form of the `latency` section's harness,
-/// shared by the static and adaptive arms of the `adaptive` section so
-/// the comparison is apples to apples.
-fn served_p99_us(
-    snapshot: bonsai_core::RouterSnapshot,
-    queries: &[bonsai_geom::Point3],
-    radius: f32,
-    rate: u64,
-    window_ms: u64,
-) -> f64 {
-    let publisher = std::sync::Arc::new(bonsai_core::EpochPublisher::new(snapshot));
-    let server = bonsai_serve::Server::new(
-        publisher,
-        bonsai_serve::ServeConfig {
-            queue_capacity: 8192,
-            max_batch: 32,
-        },
-    );
-    for &q in queries.iter().take(16) {
-        let _ = server.radius_query(q, radius); // warm the executor
-    }
-    let total_arrivals = (rate * window_ms / 1000).max(1) as usize;
-    let gap = std::time::Duration::from_nanos(1_000_000_000 / rate);
-    struct InFlight {
-        queue: std::collections::VecDeque<(Instant, bonsai_serve::Ticket)>,
-        closed: bool,
-    }
-    let in_flight = std::sync::Mutex::new(InFlight {
-        queue: std::collections::VecDeque::new(),
-        closed: false,
-    });
-    let handoff = std::sync::Condvar::new();
-    let mut latencies_us: Vec<f64> = std::thread::scope(|s| {
-        let harvester = s.spawn(|| {
-            let mut latencies = Vec::with_capacity(total_arrivals);
-            loop {
-                let entry = {
-                    let mut q = in_flight.lock().expect("in-flight queue");
-                    loop {
-                        if let Some(entry) = q.queue.pop_front() {
-                            break Some(entry);
-                        }
-                        if q.closed {
-                            break None;
-                        }
-                        q = handoff.wait(q).expect("in-flight queue");
-                    }
-                };
-                let Some((submitted, ticket)) = entry else {
-                    return latencies;
-                };
-                ticket.wait().expect("bench query served");
-                latencies.push((Instant::now() - submitted).as_secs_f64() * 1e6);
-            }
-        });
-        let pacer_start = Instant::now();
-        for k in 0..total_arrivals {
-            let scheduled = pacer_start + gap * k as u32;
-            loop {
-                let now = Instant::now();
-                if now >= scheduled {
-                    break;
-                }
-                let remaining = scheduled - now;
-                if remaining > std::time::Duration::from_micros(300) {
-                    std::thread::sleep(remaining - std::time::Duration::from_micros(200));
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            if let Ok(ticket) = server.submit(queries[k % queries.len()], radius) {
-                in_flight
-                    .lock()
-                    .expect("in-flight queue")
-                    .queue
-                    .push_back((Instant::now(), ticket));
-                handoff.notify_all();
-            }
-        }
-        in_flight.lock().expect("in-flight queue").closed = true;
-        handoff.notify_all();
-        harvester.join().expect("harvester thread")
-    });
-    latencies_us.sort_unstable_by(|a, b| a.total_cmp(b));
-    let idx = ((latencies_us.len() as f64 - 1.0) * 0.99).round() as usize;
-    latencies_us[idx]
 }
 
 fn main() {
@@ -362,312 +269,6 @@ fn main() {
         let _ = writeln!(json, "      }}{}", if mi == 0 { "," } else { "" });
     }
     let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }},");
-
-    // ------------------------------------------------------------------
-    // Adaptive sharding: the Gaussian-around-ego drifting-ego stream
-    // (the AD serving pattern) against the static median-cut router vs
-    // the load-adaptive one. The adaptive arm keeps `adapt_step` in the
-    // timed loop — steady-state policy cost is billed, not hidden — and
-    // is warmed with untimed laps first, exactly how a long-running
-    // serving process reaches its converged topology. The uniform
-    // stream then bounds the policy's overhead when there is no skew to
-    // exploit, and the exactness sweep pins every mode × SIMD arm to
-    // the single-tree engine bit for bit.
-    // ------------------------------------------------------------------
-    let _ = writeln!(json, "  \"adaptive\": {{");
-    // Serving-scale cloud: adaptive sharding is about long-lived maps
-    // an order of magnitude beyond one frame's crop, where a hot
-    // shard's footprint decides whether the skewed stream runs from
-    // cache or from memory. At `BATCH_CLOUD` the per-shard trees are so
-    // shallow that fixed per-query dispatch hides any topology effect.
-    let acloud = urban_cloud(cloud_n * 8);
-    let auniform = batch_queries(&acloud, query_n);
-    let skew = skewed_queries(query_n * 4, 42);
-    let windows = 16usize;
-    let win_len = (skew.len() / windows).max(1);
-    // Long-memory decay: at 16 windows per ego lap, 0.95 keeps ~20
-    // windows of profile, so the policy sees the whole drifting-ego
-    // corridor as stationary instead of chasing the ego window to
-    // window (short memory makes it thrash: split ahead of the ego,
-    // merge behind it, every step a rebuild).
-    let policy = ShardPolicy {
-        decay: 0.95,
-        max_shards: 64,
-        min_split_points: 128,
-        min_queries: 32.0,
-        split_ratio: 1.5,
-        merge_ratio: 0.15,
-        ..ShardPolicy::default()
-    };
-    let _ = writeln!(json, "    \"shards_start\": {SHARDS},");
-    let _ = writeln!(json, "    \"skew_std\": {SKEW_STD},");
-    let _ = writeln!(json, "    \"skew_queries\": {},", skew.len());
-    let _ = writeln!(json, "    \"windows\": {windows},");
-    let _ = writeln!(json, "    \"max_shards\": {},", policy.max_shards);
-
-    let static_router = ShardRouter::bonsai(
-        &acloud,
-        KdTreeConfig::default(),
-        ShardConfig::with_shards(SHARDS),
-    );
-    let mut batch = QueryBatch::new();
-    let static_skew_qps = measure_qps(skew.len(), budget_ms, || {
-        let mut total = 0;
-        for w in skew.chunks(win_len) {
-            static_router.search_batch(w, RADIUS, &mut batch);
-            total += batch.total_matches();
-        }
-        total
-    });
-
-    let mut adaptive_router = ShardRouter::bonsai(
-        &acloud,
-        KdTreeConfig::default(),
-        ShardConfig::with_shards(SHARDS),
-    );
-    // Untimed warm-up laps: the policy converges its topology along the
-    // ego corridor before the clock starts.
-    for _ in 0..6 {
-        for w in skew.chunks(win_len) {
-            adaptive_router.search_batch(w, RADIUS, &mut batch);
-            adaptive_router.adapt_step(&policy, 0);
-        }
-    }
-    let adaptive_skew_qps = measure_qps(skew.len(), budget_ms, || {
-        let mut total = 0;
-        for w in skew.chunks(win_len) {
-            adaptive_router.search_batch(w, RADIUS, &mut batch);
-            adaptive_router.adapt_step(&policy, 0);
-            total += batch.total_matches();
-        }
-        total
-    });
-    let adaptive_report = adaptive_router.load_report();
-
-    // Exactness: the adapted topology answers the skewed stream
-    // bit-identically to the static router (both canonical ascending
-    // global order — same cloud, same indices).
-    {
-        let mut expect = QueryBatch::new();
-        static_router.search_batch(&skew, RADIUS, &mut expect);
-        adaptive_router.search_batch(&skew, RADIUS, &mut batch);
-        for i in 0..skew.len() {
-            assert_eq!(
-                batch.results(i),
-                expect.results(i),
-                "adaptive skew query {i} diverged"
-            );
-        }
-    }
-
-    let static_uniform_qps = measure_qps(query_n, budget_ms, || {
-        static_router.search_batch(&auniform, RADIUS, &mut batch);
-        batch.total_matches()
-    });
-    let mut uniform_router = ShardRouter::bonsai(
-        &acloud,
-        KdTreeConfig::default(),
-        ShardConfig::with_shards(SHARDS),
-    );
-    let adaptive_uniform_qps = measure_qps(query_n, budget_ms, || {
-        uniform_router.search_batch(&auniform, RADIUS, &mut batch);
-        uniform_router.adapt_step(&policy, 0);
-        batch.total_matches()
-    });
-
-    // Shard-per-worker serving throughput, the headline: each worker
-    // owns the shard slice `worker_partition` assigns it (LPT over the
-    // observed load profile) and serves the whole stream against only
-    // that slice — the execution model of a distributed or
-    // accelerator-offloaded deployment, where a shard lives in one
-    // place and cannot be half-owned. Every worker's pass is measured
-    // for real; the makespan (slowest worker, plus the adaptive arm's
-    // measured control-plane `adapt_step`) is what W concurrent
-    // workers' wall clock would be. Under skew the static topology's
-    // hot shard is one indivisible slice — the batch serializes on its
-    // owner — while the adapted topology spreads the same load across
-    // all W slices.
-    const WORKERS: usize = 8;
-    let worker_budget = budget_ms / 2;
-    // Frame-barrier makespan: the pipeline serves windows in order, so
-    // one stream pass costs Σ over windows of (slowest worker in that
-    // window) — a worker idle in this window cannot lend its core to
-    // the next one. Each (worker, window) cell is measured for real
-    // and averaged over repeated passes.
-    let worker_makespan_ms =
-        |router: &ShardRouter, stream: &[bonsai_geom::Point3], chunk: usize| -> f64 {
-            let partition = router.worker_partition(WORKERS);
-            let windows: Vec<&[bonsai_geom::Point3]> = stream.chunks(chunk).collect();
-            let mut cell_ms = vec![vec![0.0f64; windows.len()]; partition.len()];
-            let mut b = QueryBatch::new();
-            for (k, own) in partition.iter().enumerate() {
-                for wch in &windows {
-                    router.search_batch_shards(wch, RADIUS, &mut b, own); // warm
-                }
-                let start = Instant::now();
-                let mut passes = 0u32;
-                while start.elapsed().as_millis() < u128::from(worker_budget) {
-                    for (w, wch) in windows.iter().enumerate() {
-                        let t0 = Instant::now();
-                        router.search_batch_shards(wch, RADIUS, &mut b, own);
-                        std::hint::black_box(b.total_matches());
-                        cell_ms[k][w] += t0.elapsed().as_secs_f64() * 1e3;
-                    }
-                    passes += 1;
-                }
-                for v in &mut cell_ms[k] {
-                    *v /= f64::from(passes.max(1));
-                }
-            }
-            (0..windows.len())
-                .map(|w| cell_ms.iter().map(|row| row[w]).fold(0.0f64, f64::max))
-                .sum()
-        };
-    let static_skew_worker_ms = worker_makespan_ms(&static_router, &skew, win_len);
-    let adaptive_skew_worker_ms = worker_makespan_ms(&adaptive_router, &skew, win_len);
-    let static_uniform_worker_ms = worker_makespan_ms(&static_router, &auniform, auniform.len());
-    let adaptive_uniform_worker_ms = worker_makespan_ms(&uniform_router, &auniform, auniform.len());
-    // The adaptive arms bill the policy's steady-state control plane:
-    // one converged `adapt_step` per pass, serialized after the
-    // workers (it owns the topology).
-    let adapt_ms = measure_ms(worker_budget / 2, || {
-        adaptive_router.adapt_step(&policy, 0);
-        1
-    });
-    let static_skew_worker_qps = skew.len() as f64 / (static_skew_worker_ms / 1e3);
-    let adaptive_skew_worker_qps = skew.len() as f64 / ((adaptive_skew_worker_ms + adapt_ms) / 1e3);
-    let static_uniform_worker_qps = auniform.len() as f64 / (static_uniform_worker_ms / 1e3);
-    let adaptive_uniform_worker_qps =
-        auniform.len() as f64 / ((adaptive_uniform_worker_ms + adapt_ms) / 1e3);
-
-    // Served open-loop p99 on the skewed stream: the adaptive topology
-    // must be no worse at the tail than the static one.
-    let p99_rate = 2000u64;
-    let p99_window = if quick { 250 } else { 1500 };
-    let static_p99 = served_p99_us(
-        static_router.snapshot(),
-        &skew,
-        RADIUS,
-        p99_rate,
-        p99_window,
-    );
-    let adaptive_p99 = served_p99_us(
-        adaptive_router.snapshot(),
-        &skew,
-        RADIUS,
-        p99_rate,
-        p99_window,
-    );
-
-    let skew_speedup = adaptive_skew_worker_qps / static_skew_worker_qps;
-    let uniform_ratio = adaptive_uniform_worker_qps / static_uniform_worker_qps;
-    let skew_speedup_seq = adaptive_skew_qps / static_skew_qps;
-    let uniform_ratio_seq = adaptive_uniform_qps / static_uniform_qps;
-    let populated = (0..adaptive_router.num_shards())
-        .filter(|&s| !adaptive_router.shard_points(s).is_empty())
-        .count();
-    println!(
-        "adaptive  skew: static {static_skew_worker_qps:>12.0} q/s | adaptive \
-         {adaptive_skew_worker_qps:>12.0} q/s ({skew_speedup:.2}x) over {WORKERS} workers | \
-         {} splits {} merges, {populated} shards",
-        adaptive_report.splits, adaptive_report.merges,
-    );
-    println!(
-        "       uniform: static {static_uniform_worker_qps:>12.0} q/s | adaptive \
-         {adaptive_uniform_worker_qps:>12.0} q/s ({uniform_ratio:.3}) | served p99 \
-         {static_p99:>8.1} → {adaptive_p99:>8.1} µs | 1-thread skew {skew_speedup_seq:.2}x \
-         uniform {uniform_ratio_seq:.3}"
-    );
-    let _ = writeln!(json, "    \"workers\": {WORKERS},");
-    let _ = writeln!(
-        json,
-        "    \"static_skew_worker_qps\": {static_skew_worker_qps:.0},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"adaptive_skew_worker_qps\": {adaptive_skew_worker_qps:.0},"
-    );
-    let _ = writeln!(json, "    \"skew_speedup\": {skew_speedup:.3},");
-    let _ = writeln!(
-        json,
-        "    \"static_uniform_worker_qps\": {static_uniform_worker_qps:.0},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"adaptive_uniform_worker_qps\": {adaptive_uniform_worker_qps:.0},"
-    );
-    let _ = writeln!(json, "    \"uniform_ratio\": {uniform_ratio:.3},");
-    let _ = writeln!(json, "    \"adapt_step_ms\": {adapt_ms:.4},");
-    let _ = writeln!(json, "    \"static_skew_qps\": {static_skew_qps:.0},");
-    let _ = writeln!(json, "    \"adaptive_skew_qps\": {adaptive_skew_qps:.0},");
-    let _ = writeln!(json, "    \"skew_speedup_seq\": {skew_speedup_seq:.3},");
-    let _ = writeln!(json, "    \"static_uniform_qps\": {static_uniform_qps:.0},");
-    let _ = writeln!(
-        json,
-        "    \"adaptive_uniform_qps\": {adaptive_uniform_qps:.0},"
-    );
-    let _ = writeln!(json, "    \"uniform_ratio_seq\": {uniform_ratio_seq:.3},");
-    let _ = writeln!(json, "    \"static_served_p99_us\": {static_p99:.1},");
-    let _ = writeln!(json, "    \"adaptive_served_p99_us\": {adaptive_p99:.1},");
-    let _ = writeln!(json, "    \"splits\": {},", adaptive_report.splits);
-    let _ = writeln!(json, "    \"merges\": {},", adaptive_report.merges);
-    let _ = writeln!(json, "    \"rejected\": {},", adaptive_report.rejected);
-    let _ = writeln!(json, "    \"populated_shards\": {populated},");
-
-    // Exactness across all three modes, both SIMD arms: an adapted
-    // router must reproduce the single-tree engine's neighbor sets bit
-    // for bit (canonical ascending order), scalar and vector alike.
-    {
-        let ov = simd::scalar_override();
-        let probes: Vec<_> = skew.iter().copied().step_by(17).collect();
-        for mode in ["baseline", "bonsai", "software_codec"] {
-            let mut r = match mode {
-                "baseline" => ShardRouter::baseline(
-                    &cloud,
-                    KdTreeConfig::default(),
-                    ShardConfig::with_shards(SHARDS),
-                ),
-                "bonsai" => ShardRouter::bonsai(
-                    &cloud,
-                    KdTreeConfig::default(),
-                    ShardConfig::with_shards(SHARDS),
-                ),
-                _ => ShardRouter::software_codec(
-                    &cloud,
-                    KdTreeConfig::default(),
-                    ShardConfig::with_shards(SHARDS),
-                ),
-            };
-            for w in skew.chunks(win_len) {
-                r.search_batch(w, RADIUS, &mut batch);
-                r.adapt_step(&policy, 0);
-            }
-            let engine = match mode {
-                "baseline" => RadiusSearchEngine::baseline(tree.kd_tree()),
-                "bonsai" => RadiusSearchEngine::bonsai(&tree),
-                _ => RadiusSearchEngine::software_codec(&tree),
-            };
-            let mut expect = QueryBatch::new();
-            for &scalar in &[true, false] {
-                ov.set(scalar);
-                engine.search_batch(&probes, RADIUS, &mut expect);
-                r.search_batch(&probes, RADIUS, &mut batch);
-                for (i, _) in probes.iter().enumerate() {
-                    let mut want = expect.results(i).to_vec();
-                    want.sort_unstable_by_key(|n| n.index);
-                    assert_eq!(
-                        batch.results(i),
-                        &want[..],
-                        "{mode} scalar={scalar} adaptive probe {i} diverged"
-                    );
-                }
-            }
-        }
-        ov.set(false);
-    }
-    let _ = writeln!(json, "    \"exactness_modes\": 3,");
-    let _ = writeln!(json, "    \"exactness_simd_arms\": 2");
     let _ = writeln!(json, "  }},");
 
     // ------------------------------------------------------------------

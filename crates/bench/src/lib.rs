@@ -117,56 +117,6 @@ pub mod workload {
         (0..n).map(|i| cloud[(i * 97) % cloud.len()]).collect()
     }
 
-    /// Standard deviation of the ego-skewed query stream, meters: the
-    /// AD serving pattern concentrates queries in the ego vehicle's
-    /// immediate neighborhood (obstacle inflation, local costmaps).
-    pub const SKEW_STD: f32 = 8.0;
-
-    /// A Gaussian-around-ego query stream with a drifting ego: `n`
-    /// queries sampled `N(ego, SKEW_STD)` in x/y (z uniform over the
-    /// cloud's height) while the ego drives one lap of the urban
-    /// cloud's extent. The skewed counterpart of
-    /// [`batch_queries`] — same count contract, deterministic, but the
-    /// load concentrates on whichever shards currently cover the ego's
-    /// neighborhood and *moves* as the ego does, which is exactly the
-    /// regime the adaptive router targets.
-    pub fn skewed_queries(n: usize, seed: u64) -> Vec<Point3> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f32 / (1u64 << 53) as f32
-        };
-        // Box-Muller over the xorshift stream: one unit normal per call.
-        let mut normal = move || {
-            let u1 = next().max(1.0e-7);
-            let u2 = next();
-            (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
-        };
-        let mut state2 = seed.wrapping_add(0xD1B54A32D192ED03) | 1;
-        let mut uniform = move || {
-            state2 ^= state2 << 13;
-            state2 ^= state2 >> 7;
-            state2 ^= state2 << 17;
-            (state2 >> 11) as f32 / (1u64 << 53) as f32
-        };
-        (0..n)
-            .map(|i| {
-                // The ego drives the x extent of `urban_cloud` once
-                // over the stream, weaving gently in y.
-                let t = i as f32 / n.max(1) as f32;
-                let ego_x = -80.0 + 160.0 * t;
-                let ego_y = 30.0 * (std::f32::consts::TAU * 2.0 * t).sin();
-                Point3::new(
-                    ego_x + normal() * SKEW_STD,
-                    ego_y + normal() * SKEW_STD,
-                    uniform() * 2.5,
-                )
-            })
-            .collect()
-    }
-
     /// Radius of the leaf-sweep kernel comparisons (criterion group
     /// and the `simd` rows of `BENCH_radius_batch.json`): larger than
     /// [`BATCH_RADIUS`] so each collected visit list carries enough

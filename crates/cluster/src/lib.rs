@@ -50,13 +50,12 @@ mod extract;
 mod pipeline;
 mod streaming;
 
-pub use bonsai_core::{AdaptReport, CompactionPolicy, Coverage, ShardPolicy};
+pub use bonsai_core::{CompactionPolicy, Coverage};
 pub use extract::{
     extract_euclidean_clusters, extract_euclidean_clusters_batched,
     extract_euclidean_clusters_sharded, ClusterOutput, TreeMode,
 };
 pub use pipeline::{
-    AdaptPolicy, AuditPolicy, ClusterParams, FramePipeline, FrameResult, PipelineError,
-    StreamingPipeline,
+    AuditPolicy, ClusterParams, FramePipeline, FrameResult, PipelineError, StreamingPipeline,
 };
 pub use streaming::{FrameUpdate, HealReport, StreamingExtractor};

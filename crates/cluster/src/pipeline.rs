@@ -66,24 +66,6 @@ pub enum AuditPolicy {
     Every(u32),
 }
 
-/// When the streaming pipeline runs a load-adaptive topology step
-/// ([`StreamingExtractor::maybe_adapt`](crate::StreamingExtractor::maybe_adapt)).
-///
-/// Off by default and cheap when on: a due step samples `O(shards)`
-/// atomic counters, and only a shard whose decayed load crosses the
-/// [`ShardPolicy`](bonsai_core::ShardPolicy) ratios pays a targeted
-/// rebuild (at most one split *or* merge per due frame).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum AdaptPolicy {
-    /// Never adapt — the default; topology stays the build-time
-    /// median cut.
-    #[default]
-    Off,
-    /// Run one adapt step every `n`-th frame with the given policy
-    /// knobs (`Every(0, _)` behaves like [`Off`](AdaptPolicy::Off)).
-    Every(u32, bonsai_core::ShardPolicy),
-}
-
 /// Parameters of the end-to-end euclidean-cluster pipeline, with
 /// Autoware-flavoured defaults.
 #[derive(Debug, Clone, PartialEq)]
@@ -308,11 +290,6 @@ pub struct StreamingPipeline {
     compaction: Option<bonsai_core::CompactionPolicy>,
     /// When the deep invariant audit runs (default: never).
     audit: AuditPolicy,
-    /// When the load-adaptive split/merge step runs (default: never).
-    adapt: AdaptPolicy,
-    /// Accumulated adaptive-topology decisions (splits, merges, typed
-    /// rejections) since construction.
-    adapt_totals: bonsai_core::AdaptReport,
     /// Frames served so far (drives [`AuditPolicy::Every`]).
     frames_processed: u64,
     /// Epoch publication point: after every frame the freshly-mutated
@@ -354,8 +331,6 @@ impl StreamingPipeline {
             frame_pos: Vec::new(),
             compaction: Some(bonsai_core::CompactionPolicy::default()),
             audit: AuditPolicy::default(),
-            adapt: AdaptPolicy::default(),
-            adapt_totals: bonsai_core::AdaptReport::default(),
             frames_processed: 0,
             publisher,
         }
@@ -369,26 +344,6 @@ impl StreamingPipeline {
     /// Replaces the audit policy.
     pub fn set_audit_policy(&mut self, policy: AuditPolicy) {
         self.audit = policy;
-    }
-
-    /// The adaptive-sharding policy (default [`AdaptPolicy::Off`]).
-    pub fn adapt_policy(&self) -> AdaptPolicy {
-        self.adapt
-    }
-
-    /// Replaces the adaptive-sharding policy. Turning adaptation on
-    /// never changes extraction output (global indices are stable
-    /// across the targeted split/merge rebuilds); it only rebalances
-    /// where the routed search work happens.
-    pub fn set_adapt_policy(&mut self, policy: AdaptPolicy) {
-        self.adapt = policy;
-    }
-
-    /// Accumulated adaptive-topology outcome since construction:
-    /// total splits, merges, and typed rejections, plus the most
-    /// recent due window's decision list.
-    pub fn adapt_totals(&self) -> &bonsai_core::AdaptReport {
-        &self.adapt_totals
     }
 
     /// The auto-compaction policy (`None` = disabled).
@@ -498,20 +453,6 @@ impl StreamingPipeline {
         // (stable global indices), so it can run before extraction.
         if let Some(policy) = self.compaction {
             self.extractor.maybe_compact(&policy);
-        }
-        // Load-adaptive topology: when due, fold the query counters
-        // accumulated since the last step and split/merge at most one
-        // shard. Bounded by the oldest pinned epoch's staleness, and
-        // output-neutral like compaction (stable global indices).
-        if let AdaptPolicy::Every(n, policy) = self.adapt {
-            if n > 0 && self.frames_processed.is_multiple_of(u64::from(n)) {
-                let lag = self.publisher.epoch_lag();
-                let report = self.extractor.maybe_adapt(&policy, lag);
-                self.adapt_totals.splits += report.splits;
-                self.adapt_totals.merges += report.merges;
-                self.adapt_totals.rejected += report.rejected;
-                self.adapt_totals.decisions = report.decisions;
-            }
         }
         let output = self
             .extractor
@@ -724,48 +665,6 @@ mod tests {
             .search_one(probe, 0.8, &mut scratch, &mut again, &mut stats2);
         assert_eq!(frozen, again, "pinned epoch changed under ingest");
         assert_eq!(stats.nodes_visited, stats2.nodes_visited);
-    }
-
-    /// An adaptive streaming pipeline must emit the same clusters and
-    /// boxes as the rebuild-per-frame pipeline: adaptation rebalances
-    /// where routed work happens, never what a query answers.
-    #[test]
-    fn adaptive_pipeline_is_output_neutral() {
-        let seq = DrivingSequence::new(SequenceConfig::small_test());
-        let params = ClusterParams {
-            shards: 4,
-            ..ClusterParams::default()
-        };
-        let rebuild = FramePipeline::new(params.clone());
-        let mut streaming = StreamingPipeline::new(params, TreeMode::Bonsai);
-        // Aggressive knobs so the small test stream actually adapts.
-        streaming.set_adapt_policy(AdaptPolicy::Every(
-            1,
-            bonsai_core::ShardPolicy {
-                min_split_points: 64,
-                min_queries: 16.0,
-                split_ratio: 1.2,
-                ..bonsai_core::ShardPolicy::default()
-            },
-        ));
-        for frame_idx in 0..4 {
-            let frame = seq.frame(frame_idx);
-            let mut sim = SimEngine::disabled();
-            let expect = rebuild.run(&mut sim, &frame, TreeMode::Bonsai);
-            let got = streaming.process_frame(&frame);
-            assert_eq!(
-                got.output.clusters, expect.output.clusters,
-                "frame {frame_idx}"
-            );
-            assert_eq!(got.boxes, expect.boxes, "frame {frame_idx}");
-        }
-        let totals = streaming.adapt_totals();
-        assert!(
-            totals.splits >= 1,
-            "extraction load never triggered a split: {totals:?}"
-        );
-        let audit = streaming.extractor().router().audit();
-        assert!(audit.is_empty(), "{audit:?}");
     }
 
     #[test]

@@ -38,9 +38,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use bonsai_core::{
-    AdaptReport, CompactionPolicy, RouterSnapshot, ShardConfig, ShardPolicy, ShardRouter,
-};
+use bonsai_core::{CompactionPolicy, RouterSnapshot, ShardConfig, ShardRouter};
 use bonsai_geom::Point3;
 use bonsai_kdtree::{AuditViolation, KdTreeConfig, SearchStats};
 
@@ -226,20 +224,6 @@ impl StreamingExtractor {
     /// on an extractor the check normally finds nothing to do.
     pub fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<usize> {
         self.router.compact_next(policy)
-    }
-
-    /// One load-adaptive topology step (see
-    /// [`ShardRouter::adapt_step`]): folds the per-shard query counters
-    /// accumulated since the last step into the decaying load profile
-    /// and executes at most one SAH-guided split of a hot shard or
-    /// merge of two cold shards. `epoch_lag` is the staleness of the
-    /// oldest still-pinned epoch
-    /// ([`EpochPublisher::epoch_lag`](bonsai_core::EpochPublisher::epoch_lag));
-    /// the policy refuses topology changes while readers lag too far.
-    /// Global indices are stable across the targeted rebuilds, so
-    /// extraction output and the frame matcher are unaffected.
-    pub fn maybe_adapt(&mut self, policy: &ShardPolicy, epoch_lag: u64) -> AdaptReport {
-        self.router.adapt_step(policy, epoch_lag)
     }
 
     /// Diffs a new frame against the live set by exact coordinate bits

@@ -206,11 +206,9 @@ impl<T> EpochPublisher<T> {
 
     /// How far the oldest still-pinned epoch lags the current one:
     /// `current − oldest_live`, 0 when no reader pins anything older
-    /// than the current epoch. The staleness signal the adaptive
-    /// sharding policy bounds topology changes on
-    /// ([`ShardPolicy::max_epoch_lag`](crate::ShardPolicy::max_epoch_lag)):
-    /// a reader that far behind is wedged or mid-recovery, and every
-    /// split/merge widens the window it must catch up across.
+    /// than the current epoch. A reader that lags far behind is wedged
+    /// or mid-recovery, and holds its epoch's copy-on-write shard
+    /// copies alive.
     pub fn epoch_lag(&self) -> u64 {
         let state = self.locked();
         let current = state.current.id;

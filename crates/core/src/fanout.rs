@@ -1,8 +1,8 @@
 //! Ordered scoped-thread fan-out: the spawn/chunk/merge mechanism
 //! behind the parallel paths that split a list of items (batch
-//! searches, BFS frontiers, NDT Newton iterations). The by-shard
-//! searches and shard builds partition shards instead, and only share
-//! the thread-count resolution.
+//! searches, BFS frontiers, NDT Newton iterations). Shard builds
+//! partition shards instead, and only share the thread-count
+//! resolution.
 //!
 //! A fan-out splits `0..items` into contiguous ranges, one per worker,
 //! ascending with the worker index, and hands worker `k` its own state

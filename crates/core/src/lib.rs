@@ -41,7 +41,6 @@
 pub mod fanout;
 pub mod shell;
 
-mod adapt;
 mod audit;
 #[cfg(feature = "chaos")]
 mod chaos;
@@ -55,10 +54,6 @@ mod simd;
 mod software;
 mod tree;
 
-pub use adapt::{
-    find_best_split_plane, find_best_split_plane_taxed, AdaptDecision, AdaptReport, LoadReport,
-    LoadSample, RejectReason, ShardLoadProfile, ShardLoadReport, ShardPolicy, SplitPlane,
-};
 #[cfg(feature = "chaos")]
 pub use chaos::{FaultKind, FaultPlan};
 pub use directory::{CompressedDirectory, LeafRef};

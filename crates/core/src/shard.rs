@@ -39,10 +39,6 @@ use bonsai_kdtree::{
 };
 use bonsai_sim::SimEngine;
 
-use crate::adapt::{
-    find_best_split_plane_taxed, AdaptDecision, AdaptReport, AdaptState, LoadReport, RejectReason,
-    ShardLoad, ShardLoadReport, ShardPolicy,
-};
 use crate::engine::{append_hits, EngineMode};
 use crate::epoch::QueryError;
 use crate::tree::BonsaiTree;
@@ -105,13 +101,6 @@ struct Shard {
     /// healing rebuild (which only re-admits points the caller lists as
     /// live).
     pending_deletes: Vec<u32>,
-    /// Cumulative search-effort counters, shared by *identity*: the
-    /// derived `Clone` clones the `Arc`, so copy-on-write copies and
-    /// pinned snapshots keep charging the same accumulator, and the
-    /// adaptive policy ([`ShardRouter::adapt_step`]) sees the load even
-    /// when it arrived through a stale epoch. A rebuild keeps them;
-    /// a split/merge swaps in fresh counters with the fresh shards.
-    load: Arc<ShardLoad>,
 }
 
 #[derive(Debug, Clone)]
@@ -321,9 +310,6 @@ pub struct ShardRouter {
     /// Round-robin cursor of [`compact_next`](ShardRouter::compact_next):
     /// which shard the next policy check inspects.
     compact_cursor: usize,
-    /// Decayed per-shard load profiles and the split/merge decision log
-    /// behind [`adapt_step`](ShardRouter::adapt_step).
-    adapt: AdaptState,
 }
 
 impl ShardRouter {
@@ -390,7 +376,6 @@ impl ShardRouter {
             locs,
             free_globals: Vec::new(),
             compact_cursor: 0,
-            adapt: AdaptState::default(),
         }
     }
 
@@ -677,9 +662,9 @@ impl ShardRouter {
     /// Global indices are preserved: every live point keeps its index,
     /// so query results are unchanged; only per-shard traversal
     /// counters may shrink with the tightened routing and the rebuilt
-    /// shape. The shard's query-load counters carry over. A shard whose
-    /// points were all deleted collapses to an empty tree with a
-    /// never-intersecting box (it revives on the next routed insert).
+    /// shape. A shard whose points were all deleted collapses to an
+    /// empty tree with a never-intersecting box (it revives on the next
+    /// routed insert).
     ///
     /// This is [`rebuild_update`](ShardRouter::rebuild_update) with no
     /// removals and no additions, forced onto one shard.
@@ -709,9 +694,8 @@ impl ShardRouter {
     /// [`insert`](ShardRouter::insert). A touched shard's new contents
     /// are its surviving live points plus the additions routed to it;
     /// it comes out with no dead points, no garbage slots and a tight
-    /// box, and keeps its query-load counters. Untouched shards keep
-    /// their `Arc` (no copy-on-write clone; pinned snapshots are
-    /// unaffected).
+    /// box. Untouched shards keep their `Arc` (no copy-on-write clone;
+    /// pinned snapshots are unaffected).
     ///
     /// - The finite additions are routed in order exactly as a run of
     ///   `insert` calls would route them (nearest healthy box, grown by
@@ -808,14 +792,13 @@ impl ShardRouter {
     /// compaction) and [`rebuild_update`](ShardRouter::rebuild_update):
     /// each target shard is rebuilt over its live points minus
     /// `drop`, plus `add`, in ascending global order. Every other global
-    /// the shard held (dead points, dropped points) is retired. The
-    /// rebuilt shard keeps its load counters. Targets must be healthy
-    /// and their `add` globals already allocated.
+    /// the shard held (dead points, dropped points) is retired. Targets
+    /// must be healthy and their `add` globals already allocated.
     fn rebuild_targets(&mut self, targets: Vec<Rebuild>) {
         let mut inputs: Vec<(Vec<u32>, Vec<Point3>)> = Vec::with_capacity(targets.len());
-        let mut slots: Vec<(usize, Arc<ShardLoad>)> = Vec::with_capacity(targets.len());
+        let mut slots: Vec<usize> = Vec::with_capacity(targets.len());
         for t in targets {
-            let (mut keep, gone, live_before, load) = {
+            let (mut keep, gone, live_before) = {
                 let s = &self.shards[t.shard];
                 let kd = s.tree.kd();
                 let mut dropped = vec![false; s.global.len()];
@@ -831,7 +814,7 @@ impl ShardRouter {
                         gone.push(g);
                     }
                 }
-                (keep, gone, kd.num_live(), Arc::clone(&s.load))
+                (keep, gone, kd.num_live())
             };
             for g in gone {
                 self.retire_global(g);
@@ -841,19 +824,16 @@ impl ShardRouter {
                 // Keep the shard slot (locs store shard ids) with an
                 // inverted box no ball can intersect; the next routed
                 // insert revives it.
-                self.shards[t.shard] = Arc::new(Shard {
-                    load,
-                    ..self.make_empty_shard()
-                });
+                self.shards[t.shard] = Arc::new(self.make_empty_shard());
                 continue;
             }
             keep.sort_unstable_by_key(|&(g, _)| g);
             inputs.push(keep.into_iter().unzip());
-            slots.push((t.shard, load));
+            slots.push(t.shard);
         }
         let built = build_shards(inputs, self.tree_cfg, self.mode, 0);
-        for ((slot, load), shard) in slots.into_iter().zip(built) {
-            self.install_shard(slot, Shard { load, ..shard });
+        for (slot, shard) in slots.into_iter().zip(built) {
+            self.install_shard(slot, shard);
         }
     }
 
@@ -971,9 +951,7 @@ impl ShardRouter {
     pub fn search_batch(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
         batch.reset();
         // One route BVH amortized over the whole batch: per-query
-        // dispatch is O(log K + hits) instead of a K-box scan, which
-        // matters once the adaptive policy has split the hot region
-        // into many small shards.
+        // dispatch is O(log K + hits) instead of a scan of all K boxes.
         let routes = RouteIndex::build(&self.shards);
         for &query in queries {
             batch.push_query(|scratch, out, stats| {
@@ -1009,136 +987,6 @@ impl ShardRouter {
         crate::fanout::search_batch_across_threads(queries, radius, batch, threads, |q, r, b| {
             self.search_batch(q, r, b)
         });
-    }
-
-    /// [`search_batch`](ShardRouter::search_batch) partitioned **by
-    /// shard** instead of by query range: each worker owns a subset of
-    /// the shards — balanced by the observed per-shard load profile
-    /// (LPT over the same counters `adapt_step` rebalances on; point
-    /// counts before any load has been seen) — and answers every query
-    /// against only its shards; the per-query hit lists are then merged
-    /// in canonical ascending-global-index order. Output and aggregate
-    /// stats are identical to the sequential call.
-    ///
-    /// This is the shard-per-worker serving model, and the execution
-    /// mode load-adaptive sharding exists for: a query-range partition
-    /// stays balanced because every worker may touch every shard, but a
-    /// distributed or accelerator-offloaded deployment does not get
-    /// that luxury — a shard lives in one place, and a skewed stream
-    /// pins its work on whichever worker owns the hot shard. A static
-    /// median-cut topology cannot divide that shard, so the batch
-    /// serializes on the hot worker (Amdahl); after
-    /// [`adapt_step`](ShardRouter::adapt_step) has split the hot region
-    /// into many small shards, the same LPT assignment spreads the hot
-    /// load across all workers.
-    /// The shard-per-worker partition of this router's healthy shards:
-    /// a longest-processing-time assignment over each shard's observed
-    /// load (the same counters [`adapt_step`](ShardRouter::adapt_step)
-    /// rebalances on; point counts before any load has been seen).
-    /// Returns at most `workers` non-empty ownership sets, together
-    /// covering every healthy shard exactly once. This is the
-    /// placement a shard-per-worker deployment should serve with —
-    /// each set is one worker's slice for
-    /// [`search_batch_shards`](ShardRouter::search_batch_shards) — and
-    /// the quality of the balance is exactly what the adaptive policy
-    /// buys: a static topology's hot shard is one indivisible bin
-    /// entry, while an adapted topology spreads the same load over
-    /// many small shards the assignment can interleave.
-    pub fn worker_partition(&self, workers: usize) -> Vec<Vec<usize>> {
-        balance_shards_by_load(&self.shards, workers.max(1))
-    }
-
-    /// Answers every query against only the listed shards — one
-    /// worker's slice of the shard-per-worker serving model, filling
-    /// `batch` (reset first) with that slice's exact hits in canonical
-    /// ascending-global-index order. Out-of-range and duplicate
-    /// entries in `subset` are ignored; quarantined shards are skipped
-    /// as everywhere else. Concatenating the per-query results of the
-    /// slices of a [`worker_partition`](ShardRouter::worker_partition)
-    /// and re-sorting by global index reproduces
-    /// [`search_batch`](ShardRouter::search_batch) bit for bit.
-    pub fn search_batch_shards(
-        &self,
-        queries: &[Point3],
-        radius: f32,
-        batch: &mut QueryBatch,
-        subset: &[usize],
-    ) {
-        batch.reset();
-        let routes = RouteIndex::build_subset(&self.shards, subset);
-        for &query in queries {
-            batch.push_query(|scratch, out, stats| {
-                append_routed(
-                    &self.shards,
-                    &self.lut,
-                    Some(&routes),
-                    query,
-                    radius,
-                    scratch,
-                    out,
-                    stats,
-                );
-            });
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    pub fn search_batch_shard_parallel(
-        &self,
-        queries: &[Point3],
-        radius: f32,
-        batch: &mut QueryBatch,
-        threads: usize,
-    ) {
-        let workers = crate::fanout::resolve_threads(threads, self.shards.len().max(1));
-        if workers <= 1 || queries.is_empty() {
-            return self.search_batch(queries, radius, batch);
-        }
-        let assignment = balance_shards_by_load(&self.shards, workers);
-        if assignment.len() <= 1 {
-            return self.search_batch(queries, radius, batch);
-        }
-        let mut parts: Vec<QueryBatch> = (0..assignment.len()).map(|_| QueryBatch::new()).collect();
-        std::thread::scope(|scope| {
-            for (part, own) in parts.iter_mut().zip(&assignment) {
-                scope.spawn(move || {
-                    part.reset();
-                    let routes = RouteIndex::build_subset(&self.shards, own);
-                    for &query in queries {
-                        part.push_query(|scratch, out, stats| {
-                            append_routed(
-                                &self.shards,
-                                &self.lut,
-                                Some(&routes),
-                                query,
-                                radius,
-                                scratch,
-                                out,
-                                stats,
-                            );
-                        });
-                    }
-                });
-            }
-        });
-        batch.reset();
-        for (i, _) in queries.iter().enumerate() {
-            batch.push_query(|_scratch, out, stats| {
-                if i == 0 {
-                    for part in &parts {
-                        *stats += *part.stats();
-                    }
-                }
-                let start = out.len();
-                for part in &parts {
-                    out.extend_from_slice(part.results(i));
-                }
-                // Each part is sorted already and global indices are
-                // unique, so one sort re-establishes the canonical
-                // order the sequential path produces.
-                out[start..].sort_unstable_by_key(|n| n.index);
-            });
-        }
     }
 
     /// The routed per-query kernel: searches every intersecting shard,
@@ -1262,7 +1110,6 @@ impl ShardRouter {
             tree,
             quarantined: false,
             pending_deletes: Vec::new(),
-            load: Arc::new(ShardLoad::default()),
         }
     }
 
@@ -1685,407 +1532,6 @@ impl ShardRouter {
             self.num_points = self.shards.iter().map(|s| s.tree.kd().num_live()).sum();
         }
     }
-
-    // ------------------------------------------------------------------
-    // Query-load-adaptive topology: observed-load split/merge with an
-    // SAH-style cost model (see `core/src/adapt.rs` for the policy).
-    // ------------------------------------------------------------------
-
-    /// Whether shard `shard` may take part in a topology change right
-    /// now: in range and not quarantined. A quarantined shard has a
-    /// heal in progress — its tree is suspect, and repartitioning it
-    /// would launder corruption into a "clean" layout — so it is never
-    /// chosen. This is the guard every split/merge entry point
-    /// delegates to.
-    pub fn shard_is_adaptable(&self, shard: usize) -> Result<(), RejectReason> {
-        match self.shards.get(shard) {
-            None => Err(RejectReason::OutOfRange { shard }),
-            Some(s) if s.quarantined => Err(RejectReason::Quarantined { shard }),
-            Some(_) => Ok(()),
-        }
-    }
-
-    /// Splits shard `shard` at `plane` on `axis`: live points with
-    /// coordinate `< plane` keep the slot, the rest move to a sibling
-    /// slot (a rebuilt-empty slot when one exists, else a freshly
-    /// appended one — existing slots are never renumbered, because the
-    /// global directory stores shard ids). Returns the sibling's index.
-    ///
-    /// This is [`rebuild_shard`](ShardRouter::rebuild_shard)'s targeted
-    /// machinery run once per child: every live point keeps its global
-    /// index, dead entries are retired to the generation-tagged free
-    /// list, both children's boxes are re-tightened, and previously
-    /// published [`RouterSnapshot`]s keep answering from the pre-split
-    /// topology (their shard `Arc`s are untouched) — query results stay
-    /// bit-identical in values and order; only traversal counters may
-    /// change with the tighter routing.
-    ///
-    /// Refuses — typed, with **no** state change — a quarantined or
-    /// out-of-range shard ([`shard_is_adaptable`](ShardRouter::shard_is_adaptable)),
-    /// an axis ≥ 3 or non-finite plane, and a plane that fails to put
-    /// at least one live point on each side.
-    pub fn split_shard(
-        &mut self,
-        shard: usize,
-        axis: usize,
-        plane: f32,
-    ) -> Result<usize, RejectReason> {
-        self.shard_is_adaptable(shard)?;
-        if axis >= 3 || !plane.is_finite() {
-            return Err(RejectReason::NoGain { shard });
-        }
-        // Collect the live set and verify the plane separates it
-        // *before* mutating anything: retiring dead globals while their
-        // slots still linger in the shard would corrupt the directory.
-        let (mut lower, mut upper, dead) = {
-            let s = &self.shards[shard];
-            let kd = s.tree.kd();
-            let mut lower: Vec<(u32, Point3)> = Vec::new();
-            let mut upper: Vec<(u32, Point3)> = Vec::new();
-            let mut dead = Vec::new();
-            for (local, &g) in s.global.iter().enumerate() {
-                if kd.is_live(local as u32) {
-                    let p = kd.points()[local];
-                    if p[axis] < plane {
-                        lower.push((g, p));
-                    } else {
-                        upper.push((g, p));
-                    }
-                } else {
-                    dead.push(g);
-                }
-            }
-            (lower, upper, dead)
-        };
-        if lower.is_empty() || upper.is_empty() {
-            return Err(RejectReason::NoGain { shard });
-        }
-        for g in dead {
-            self.retire_global(g);
-        }
-        // The upper half lands in a rebuilt-empty slot when one exists
-        // (the same free slots `insert` revives), else a new one.
-        let sibling = match self
-            .shards
-            .iter()
-            .position(|s| !s.quarantined && s.global.is_empty() && s.aabb.min.x > s.aabb.max.x)
-        {
-            Some(i) => i,
-            None => {
-                let empty = self.make_empty_shard();
-                self.shards.push(Arc::new(empty));
-                self.shards.len() - 1
-            }
-        };
-        lower.sort_unstable_by_key(|&(g, _)| g);
-        upper.sort_unstable_by_key(|&(g, _)| g);
-        let halves = vec![lower.into_iter().unzip(), upper.into_iter().unzip()];
-        let built = build_shards(halves, self.tree_cfg, self.mode, 0);
-        for (slot, half) in [shard, sibling].into_iter().zip(built) {
-            self.install_shard(slot, half);
-        }
-        Ok(sibling)
-    }
-
-    /// Merges shards `a` and `b`: their live points are rebuilt into
-    /// the lower-indexed slot (in ascending global order) and the other
-    /// slot becomes a rebuilt-empty shard — slots are never removed,
-    /// because the global directory stores shard ids, and the emptied
-    /// slot is the first candidate for a later split or out-of-box
-    /// insert. Returns the kept slot. Same preservation contract as
-    /// [`split_shard`](ShardRouter::split_shard): global indices, free
-    /// list, pinned snapshots and query results are all unaffected.
-    pub fn merge_shards(&mut self, a: usize, b: usize) -> Result<usize, RejectReason> {
-        if a == b {
-            return Err(RejectReason::SameShard { shard: a });
-        }
-        self.shard_is_adaptable(a)?;
-        self.shard_is_adaptable(b)?;
-        let kept = a.min(b);
-        let emptied = a.max(b);
-        let mut merged: Vec<(u32, Point3)> = Vec::new();
-        let mut dead = Vec::new();
-        for slot in [a, b] {
-            let s = &self.shards[slot];
-            let kd = s.tree.kd();
-            for (local, &g) in s.global.iter().enumerate() {
-                if kd.is_live(local as u32) {
-                    merged.push((g, kd.points()[local]));
-                } else {
-                    dead.push(g);
-                }
-            }
-        }
-        for g in dead {
-            self.retire_global(g);
-        }
-        merged.sort_unstable_by_key(|&(g, _)| g);
-        self.shards[emptied] = Arc::new(self.make_empty_shard());
-        if merged.is_empty() {
-            self.shards[kept] = Arc::new(self.make_empty_shard());
-            return Ok(kept);
-        }
-        let built = build_shards(
-            vec![merged.into_iter().unzip()],
-            self.tree_cfg,
-            self.mode,
-            0,
-        );
-        for shard in built {
-            self.install_shard(kept, shard);
-        }
-        Ok(kept)
-    }
-
-    /// One step of the load-adaptive policy: fold the newest per-shard
-    /// counter window into the decaying profile, then propose — and,
-    /// when every guard passes, execute — at most **one** topology
-    /// change. The hottest shard is split when its decayed work exceeds
-    /// `split_ratio ×` the populated-shard mean, at the plane a binned SAH
-    /// sweep over its live points picks — provided the sweep's gain
-    /// also beats the `dispatch_cost ×` populated-shard tax (every
-    /// shard slot makes every routed query test one more box).
-    /// Otherwise the two nearest cold shards (both below
-    /// `merge_ratio ×` the mean) are merged; when the profile is flat
-    /// (`flat_ratio`) across more than `flat_floor` populated shards,
-    /// the nearest adaptable pair merges even without a cold shard, so
-    /// a uniform stream walks an over-split fleet back down.
-    /// Every refused proposal lands in the returned [`AdaptReport`] and
-    /// the [`load_report`](ShardRouter::load_report) decision log as a
-    /// typed [`RejectReason`]; quarantined (heal-in-progress) shards
-    /// and routers whose readers lag beyond `policy.max_epoch_lag` are
-    /// never chosen for topology changes.
-    ///
-    /// `epoch_lag` is the caller's reader-staleness observation —
-    /// [`EpochPublisher::epoch_lag`](crate::EpochPublisher::epoch_lag)
-    /// when snapshots are published, `0` when the router is unshared.
-    pub fn adapt_step(&mut self, policy: &ShardPolicy, epoch_lag: u64) -> AdaptReport {
-        self.adapt.step += 1;
-        let samples: Vec<_> = self.shards.iter().map(|s| s.load.sample()).collect();
-        self.adapt.absorb_window(policy.decay, &samples);
-        let mut report = AdaptReport::default();
-        let k = self.shards.len();
-        if k == 0 {
-            return report;
-        }
-        let total_queries: f64 = self.adapt.profile[..k].iter().map(|p| p.queries).sum();
-        if total_queries < policy.min_queries {
-            return report; // not enough signal to act on yet
-        }
-        // The reference mean is over *populated* shards: emptied slots
-        // (merges, rebuilds) carry zero work forever, and letting them
-        // dilute the mean makes every live shard look split-hot — a
-        // freshly merged shard would ping-pong straight back into a
-        // split.
-        let pop_count = (0..k)
-            .filter(|&i| self.shards[i].tree.kd().num_live() > 0)
-            .count()
-            .max(1);
-        let mean = (0..k)
-            .filter(|&i| self.shards[i].tree.kd().num_live() > 0)
-            .map(|i| self.adapt.profile[i].work())
-            .sum::<f64>()
-            / pop_count as f64;
-        let step = self.adapt.step;
-        let hot = (0..k).max_by(|&a, &b| {
-            self.adapt.profile[a]
-                .work()
-                .total_cmp(&self.adapt.profile[b].work())
-        });
-        let mut acted = false;
-        if let Some(hot) = hot {
-            if self.adapt.profile[hot].work() > policy.split_ratio * mean {
-                let decision = match self.try_split(hot, policy, epoch_lag) {
-                    Ok((sibling, axis, plane)) => {
-                        self.adapt.splits += 1;
-                        report.splits += 1;
-                        acted = true;
-                        AdaptDecision::Split {
-                            step,
-                            shard: hot,
-                            sibling,
-                            axis,
-                            plane,
-                        }
-                    }
-                    Err(reason) => {
-                        self.adapt.rejected += 1;
-                        report.rejected += 1;
-                        AdaptDecision::Rejected { step, reason }
-                    }
-                };
-                self.adapt.log(decision);
-                report.decisions.push(decision);
-            }
-        }
-        if !acted {
-            // Steady state (nothing cold enough) is Ok(None): no
-            // decision to log, not a rejection.
-            match self.try_merge(policy, epoch_lag, mean) {
-                Ok(Some((kept, emptied))) => {
-                    self.adapt.merges += 1;
-                    report.merges += 1;
-                    let decision = AdaptDecision::Merge {
-                        step,
-                        kept,
-                        emptied,
-                    };
-                    self.adapt.log(decision);
-                    report.decisions.push(decision);
-                }
-                Ok(None) => {}
-                Err(reason) => {
-                    self.adapt.rejected += 1;
-                    report.rejected += 1;
-                    let decision = AdaptDecision::Rejected { step, reason };
-                    self.adapt.log(decision);
-                    report.decisions.push(decision);
-                }
-            }
-        }
-        report
-    }
-
-    /// The split half of [`adapt_step`](ShardRouter::adapt_step):
-    /// guards, the SAH plane sweep, execution, profile bookkeeping.
-    fn try_split(
-        &mut self,
-        shard: usize,
-        policy: &ShardPolicy,
-        epoch_lag: u64,
-    ) -> Result<(usize, usize, f32), RejectReason> {
-        self.shard_is_adaptable(shard)?;
-        if epoch_lag > policy.max_epoch_lag {
-            return Err(RejectReason::StalePins {
-                epoch_lag,
-                bound: policy.max_epoch_lag,
-            });
-        }
-        // Rebuilt-empty slots don't count against the budget: splitting
-        // into one adds no new slot.
-        let populated = self
-            .shards
-            .iter()
-            .filter(|s| !(s.global.is_empty() && s.aabb.min.x > s.aabb.max.x))
-            .count();
-        if populated >= policy.max_shards {
-            return Err(RejectReason::ShardLimit { shards: populated });
-        }
-        let pts: Vec<Point3> = {
-            let kd = self.shards[shard].tree.kd();
-            (0..kd.points().len() as u32)
-                .filter(|&l| kd.is_live(l))
-                .map(|l| kd.points()[l as usize])
-                .collect()
-        };
-        if pts.len() < policy.min_split_points {
-            return Err(RejectReason::TooSmall {
-                shard,
-                points: pts.len(),
-            });
-        }
-        // Every populated shard already charges each query one box
-        // test, so the split's SAH gain must also cover the dispatch
-        // slot it adds — the tax grows with the fleet.
-        let tax = policy.dispatch_cost * populated as f64;
-        let plane = find_best_split_plane_taxed(&pts, policy.bins, tax)
-            .ok_or(RejectReason::NoGain { shard })?;
-        let sibling = self.split_shard(shard, plane.axis, plane.position)?;
-        self.adapt.on_split(shard, sibling);
-        Ok((sibling, plane.axis, plane.position))
-    }
-
-    /// The merge half of [`adapt_step`](ShardRouter::adapt_step):
-    /// pick the nearest pair of cold shards, guard, execute.
-    fn try_merge(
-        &mut self,
-        policy: &ShardPolicy,
-        epoch_lag: u64,
-        mean: f64,
-    ) -> Result<Option<(usize, usize)>, RejectReason> {
-        let k = self.shards.len();
-        let populated = self
-            .shards
-            .iter()
-            .filter(|s| s.tree.kd().num_live() > 0)
-            .count();
-        if populated <= policy.min_shards {
-            return Ok(None);
-        }
-        // A flat profile over many shards is itself a reason to merge:
-        // no shard is hot enough to justify the per-query dispatch cost
-        // of the fine partition, so any adaptable pair is fair game —
-        // repeated steps walk the fleet back down toward `flat_floor`.
-        let max_work = (0..k)
-            .filter(|&i| self.shards[i].tree.kd().num_live() > 0)
-            .map(|i| self.adapt.profile[i].work())
-            .fold(0.0f64, f64::max);
-        let flat = populated > policy.flat_floor && max_work <= policy.flat_ratio * mean;
-        let cold: Vec<usize> = (0..k)
-            .filter(|&i| {
-                self.shard_is_adaptable(i).is_ok()
-                    && self.shards[i].tree.kd().num_live() > 0
-                    && (flat || self.adapt.profile[i].work() < policy.merge_ratio * mean)
-            })
-            .collect();
-        if cold.len() < 2 {
-            return Ok(None);
-        }
-        if epoch_lag > policy.max_epoch_lag {
-            return Err(RejectReason::StalePins {
-                epoch_lag,
-                bound: policy.max_epoch_lag,
-            });
-        }
-        // "Adjacent" = the cold pair whose boxes sit nearest: merging
-        // far-apart shards would blanket dead space with one huge box
-        // that every query's ball test then has to reject point by
-        // point.
-        let mut best: Option<(usize, usize, f32)> = None;
-        for (ii, &i) in cold.iter().enumerate() {
-            for &j in &cold[ii + 1..] {
-                let d = self.shards[i]
-                    .aabb
-                    .center()
-                    .distance_squared(self.shards[j].aabb.center());
-                if best.is_none_or(|(_, _, bd)| d < bd) {
-                    best = Some((i, j, d));
-                }
-            }
-        }
-        let Some((i, j, _)) = best else {
-            return Ok(None);
-        };
-        let kept = self.merge_shards(i, j)?;
-        let emptied = if kept == i { j } else { i };
-        self.adapt.on_merge(kept, emptied);
-        Ok(Some((kept, emptied)))
-    }
-
-    /// Point-in-time load observability: each shard's decayed profile
-    /// and raw lifetime counters, the policy's lifetime
-    /// split/merge/rejection totals, and the bounded recent-decision
-    /// log (oldest first).
-    pub fn load_report(&self) -> LoadReport {
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardLoadReport {
-                profile: self.adapt.profile.get(i).copied().unwrap_or_default(),
-                lifetime: s.load.sample(),
-                points: s.tree.kd().num_live(),
-                quarantined: s.quarantined,
-            })
-            .collect();
-        LoadReport {
-            shards,
-            splits: self.adapt.splits,
-            merges: self.adapt.merges,
-            rejected: self.adapt.rejected,
-            recent: self.adapt.decisions.clone(),
-        }
-    }
 }
 
 /// A pinned, immutable view of a [`ShardRouter`]'s searchable state:
@@ -2240,9 +1686,8 @@ impl RouterSnapshot {
 
 /// A flat skip-pointer BVH over the healthy shards' bounding boxes:
 /// the routing accelerator that keeps per-query dispatch `O(log K +
-/// hits)` instead of a linear scan of all `K` shard boxes — the cost
-/// that would otherwise cancel the adaptive policy's traversal savings
-/// once it splits a hot region into many small shards.
+/// hits)` instead of a linear scan of all `K` shard boxes, both when a
+/// batch is routed and when each query is served off a snapshot.
 ///
 /// Nodes are stored in preorder; `skip` jumps past a node's whole
 /// subtree when the query ball misses its box. A leaf carries the
@@ -2282,31 +1727,9 @@ impl RouteIndex {
             .filter(|(_, s)| !s.quarantined && s.aabb.min.x <= s.aabb.max.x)
             .map(|(i, s)| (i as u32, s.aabb))
             .collect();
-        RouteIndex::from_entries(&mut entries)
-    }
-
-    /// A route index over only the listed shard positions (a worker's
-    /// ownership set in the shard-per-worker paths), with the same
-    /// quarantine/empty exclusions as [`build`](RouteIndex::build).
-    /// Out-of-range and duplicate positions are ignored, so a stale
-    /// caller-held partition can never panic the serving path or
-    /// duplicate hits.
-    fn build_subset(shards: &[Arc<Shard>], subset: &[usize]) -> RouteIndex {
-        let mut seen = vec![false; shards.len()];
-        let mut entries: Vec<(u32, Aabb)> = subset
-            .iter()
-            .filter(|&&i| i < shards.len() && !std::mem::replace(&mut seen[i], true))
-            .map(|&i| (i, &shards[i]))
-            .filter(|(_, s)| !s.quarantined && s.aabb.min.x <= s.aabb.max.x)
-            .map(|(i, s)| (i as u32, s.aabb))
-            .collect();
-        RouteIndex::from_entries(&mut entries)
-    }
-
-    fn from_entries(entries: &mut [(u32, Aabb)]) -> RouteIndex {
         let mut nodes = Vec::with_capacity(entries.len().saturating_mul(2));
         if !entries.is_empty() {
-            build_route_nodes(entries, &mut nodes);
+            build_route_nodes(&mut entries, &mut nodes);
         }
         RouteIndex { nodes }
     }
@@ -2326,42 +1749,6 @@ impl RouteIndex {
             }
         }
     }
-}
-
-/// Longest-processing-time assignment of the healthy shards to
-/// `workers` bins: shards sorted by observed cost descending, each
-/// placed in the currently lightest bin. Cost is the same signal the
-/// adaptive policy splits on — cumulative nodes visited plus points
-/// inspected — falling back to the shard's point count before any load
-/// has been recorded (a capacity prior), so a cold router still gets a
-/// sensible partition. Empty bins are dropped (fewer healthy shards
-/// than workers).
-fn balance_shards_by_load(shards: &[Arc<Shard>], workers: usize) -> Vec<Vec<usize>> {
-    let mut cost: Vec<(u64, usize)> = shards
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.quarantined && s.aabb.min.x <= s.aabb.max.x)
-        .map(|(i, s)| {
-            let l = s.load.sample();
-            let observed = l.nodes_visited + l.points_inspected;
-            let c = if observed > 0 {
-                observed
-            } else {
-                s.global.len() as u64
-            };
-            (c.max(1), i)
-        })
-        .collect();
-    cost.sort_unstable_by(|a, b| b.cmp(a));
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut totals = vec![0u64; workers];
-    for (c, i) in cost {
-        let w = (0..workers).min_by_key(|&w| totals[w]).unwrap_or(0);
-        totals[w] += c;
-        bins[w].push(i);
-    }
-    bins.retain(|b| !b.is_empty());
-    bins
 }
 
 /// Recursive preorder build: union box, median split of the entries by
@@ -2422,8 +1809,6 @@ fn append_routed(
     let start = out.len();
     let mut search_shard = |shard: &Shard| {
         let before = out.len();
-        let nodes_before = stats.nodes_visited;
-        let points_before = stats.points_inspected;
         append_hits(
             shard.tree.kd(),
             shard.tree.bonsai(),
@@ -2433,13 +1818,6 @@ fn append_routed(
             scratch,
             out,
             stats,
-        );
-        // Charge the traversal effort to the shard's identity-shared
-        // load accumulator (relaxed atomics; a statistic, not a
-        // synchronization edge) — the signal `adapt_step` rebalances on.
-        shard.load.record(
-            stats.nodes_visited - nodes_before,
-            stats.points_inspected - points_before,
         );
         for n in &mut out[before..] {
             n.index = shard.global[n.index as usize];
@@ -2662,7 +2040,6 @@ fn build_shard_threaded(
         tree,
         quarantined: false,
         pending_deletes: Vec::new(),
-        load: Arc::new(ShardLoad::default()),
     }
 }
 
@@ -2740,7 +2117,6 @@ fn build_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::find_best_split_plane;
     use crate::RadiusSearchEngine;
 
     fn urban_cloud(n: usize, seed: u64) -> Vec<Point3> {
@@ -2854,121 +2230,40 @@ mod tests {
     #[test]
     fn parallel_router_batch_is_identical_to_sequential() {
         let cloud = urban_cloud(2000, 9);
-        let router =
-            ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(5));
-        let mut sequential = QueryBatch::new();
-        router.search_batch(&cloud, 0.9, &mut sequential);
-        for threads in [0, 1, 2, 3, 7] {
-            let mut parallel = QueryBatch::new();
-            router.search_batch_parallel(&cloud, 0.9, &mut parallel, threads);
-            assert_eq!(parallel.num_queries(), sequential.num_queries());
-            for i in 0..sequential.num_queries() {
-                assert_eq!(
-                    parallel.results(i),
-                    sequential.results(i),
-                    "threads {threads} query {i}"
-                );
-            }
-            assert_eq!(parallel.stats(), sequential.stats(), "threads {threads}");
-        }
-    }
-
-    /// The shard-partitioned parallel path must stay bit-identical to
-    /// the sequential batch — values, order, and aggregate stats — for
-    /// every worker count, on a load-skewed, partially quarantined,
-    /// policy-adapted topology (the states the LPT assignment and the
-    /// per-worker subset route index must handle).
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn shard_parallel_batch_is_identical_to_sequential() {
-        let cloud = urban_cloud(3000, 13);
         let mut router =
             ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(5));
-        // Skew the load so the LPT balancer sees uneven costs and the
-        // policy splits at least one hot shard.
-        let hot: Vec<Point3> = cloud.iter().copied().take(200).collect();
-        let policy = ShardPolicy {
-            min_split_points: 64,
-            min_queries: 16.0,
-            max_shards: 12,
-            ..ShardPolicy::default()
-        };
-        let mut batch = QueryBatch::new();
-        for _ in 0..8 {
-            router.search_batch(&hot, 1.0, &mut batch);
-            router.adapt_step(&policy, 0);
-        }
-        router.quarantine(1);
-        let mut sequential = QueryBatch::new();
-        router.search_batch(&cloud, 0.9, &mut sequential);
-        for threads in [0, 1, 2, 3, 7, 64] {
-            let mut parallel = QueryBatch::new();
-            router.search_batch_shard_parallel(&cloud, 0.9, &mut parallel, threads);
-            assert_eq!(parallel.num_queries(), sequential.num_queries());
-            for i in 0..sequential.num_queries() {
-                assert_eq!(
-                    parallel.results(i),
-                    sequential.results(i),
-                    "threads {threads} query {i}"
-                );
+        // Healthy, then with one shard quarantined (skipped by routing);
+        // 64 workers is more than there are shards.
+        for quarantined in [false, true] {
+            if quarantined {
+                router.quarantine(1);
             }
-            assert_eq!(parallel.stats(), sequential.stats(), "threads {threads}");
+            let mut sequential = QueryBatch::new();
+            router.search_batch(&cloud, 0.9, &mut sequential);
+            for threads in [0, 1, 2, 3, 7, 64] {
+                let mut parallel = QueryBatch::new();
+                router.search_batch_parallel(&cloud, 0.9, &mut parallel, threads);
+                let label = format!("quarantined {quarantined} threads {threads}");
+                assert_eq!(parallel.num_queries(), sequential.num_queries(), "{label}");
+                for i in 0..sequential.num_queries() {
+                    assert_eq!(
+                        parallel.results(i),
+                        sequential.results(i),
+                        "{label} query {i}"
+                    );
+                }
+                assert_eq!(parallel.stats(), sequential.stats(), "{label}");
+            }
         }
-        // Degenerate inputs short-circuit identically.
-        let mut empty = QueryBatch::new();
-        router.search_batch_shard_parallel(&[], 0.9, &mut empty, 4);
-        assert_eq!(empty.num_queries(), 0);
-        router.search_batch_shard_parallel(&cloud[..16], f32::NAN, &mut empty, 4);
-        assert_eq!(empty.num_queries(), 16);
-        assert_eq!(empty.total_matches(), 0);
-
-        // The public shard-per-worker surface: the partition covers
-        // every healthy shard exactly once, and concatenating the
-        // slices' per-query hits re-sorted by global index reproduces
-        // the sequential batch bit for bit.
-        let partition = router.worker_partition(3);
-        assert!(partition.len() <= 3 && partition.iter().all(|b| !b.is_empty()));
-        let mut owned: Vec<usize> = partition.iter().flatten().copied().collect();
-        owned.sort_unstable();
-        owned.dedup();
-        let healthy = (0..router.num_shards())
-            .filter(|&s| s != 1 && !router.shard_points(s).is_empty())
-            .count();
-        assert_eq!(
-            owned.len(),
-            partition.iter().map(Vec::len).sum::<usize>(),
-            "a shard was assigned twice"
-        );
-        assert_eq!(owned.len(), healthy, "a healthy shard went unassigned");
-        let slices: Vec<QueryBatch> = partition
-            .iter()
-            .map(|own| {
-                let mut b = QueryBatch::new();
-                router.search_batch_shards(&cloud, 0.9, &mut b, own);
-                b
-            })
-            .collect();
-        for i in 0..sequential.num_queries() {
-            let mut merged: Vec<Neighbor> = slices
-                .iter()
-                .flat_map(|b| b.results(i).iter().copied())
-                .collect();
-            merged.sort_unstable_by_key(|n| n.index);
-            assert_eq!(&merged[..], sequential.results(i), "slice union, query {i}");
-        }
-        // A stale subset (out-of-range, duplicates) neither panics nor
-        // double-counts.
-        let mut stale = QueryBatch::new();
-        router.search_batch_shards(&cloud[..64], 0.9, &mut stale, &[0, 0, 999]);
-        let mut clean = QueryBatch::new();
-        router.search_batch_shards(&cloud[..64], 0.9, &mut clean, &[0]);
-        for i in 0..64 {
-            assert_eq!(
-                stale.results(i),
-                clean.results(i),
-                "stale subset, query {i}"
-            );
-        }
+        // Degenerate inputs: an empty batch, and a NaN radius over a
+        // batch large enough to fan out.
+        let mut batch = QueryBatch::new();
+        router.search_batch_parallel(&[], 0.9, &mut batch, 4);
+        assert_eq!(batch.num_queries(), 0);
+        router.search_batch_parallel(&cloud, f32::NAN, &mut batch, 4);
+        assert_eq!(batch.num_queries(), cloud.len());
+        assert_eq!(batch.total_matches(), 0);
+        assert_eq!(*batch.stats(), SearchStats::default());
     }
 
     /// Routed incremental updates must keep the router bit-identical to
@@ -3260,9 +2555,8 @@ mod tests {
 
     /// A frame update rebuilds exactly the shards it touches: an
     /// untouched shard keeps the `Arc` a pinned snapshot holds, the
-    /// touched one keeps its load counters and carries no waste, removed
-    /// globals are retired, and searches equal a brute-force scan of the
-    /// live points.
+    /// touched one carries no waste, removed globals are retired, and
+    /// searches equal a brute-force scan of the live points.
     #[test]
     fn rebuild_update_rebuilds_only_touched_shards() {
         // Two well-separated blobs → 2 shards, one per blob.
@@ -3277,10 +2571,6 @@ mod tests {
             ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(2));
         let near = router.shard_of(0).unwrap();
         let far = 1 - near;
-        let mut batch = QueryBatch::new();
-        router.search_batch(&cloud[..10], 0.3, &mut batch);
-        let load_before = router.shards[near].load.sample();
-        assert!(load_before.queries > 0);
         let pinned = router.snapshot();
 
         let removed: Vec<u32> = (0..40).collect();
@@ -3301,11 +2591,6 @@ mod tests {
         assert_eq!(router.shard_of(g), Some(near));
         assert!(Arc::ptr_eq(&router.shards[far], &pinned.shards[far]));
         assert!(!Arc::ptr_eq(&router.shards[near], &pinned.shards[near]));
-        assert!(Arc::ptr_eq(
-            &router.shards[near].load,
-            &pinned.shards[near].load
-        ));
-        assert_eq!(router.shards[near].load.sample(), load_before);
         assert_eq!(router.shard_fragmentation(near).0, 0);
         for (&r, &before) in removed.iter().zip(&generations) {
             assert_eq!(router.shard_of(r), None, "removed {r} not retired");
@@ -3490,369 +2775,5 @@ mod tests {
         snap.search_one(probe, 1.1, &mut scratch, &mut again, &mut stats_c);
         assert_eq!(frozen, again, "snapshot mutated under the reader");
         assert_eq!(stats_a, stats_c, "snapshot work changed under the reader");
-    }
-
-    /// Splits and merges are targeted rebuilds: results stay
-    /// bit-identical to the single-tree engine, the audit web stays
-    /// certified, slots are never removed, and a rebuilt-empty slot is
-    /// reused by the next split.
-    #[test]
-    fn split_and_merge_preserve_results_and_the_directory() {
-        let cloud = urban_cloud(2400, 31);
-        let mut router =
-            ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(4));
-        let queries: Vec<Point3> = cloud.iter().step_by(13).copied().collect();
-        let mut sim = SimEngine::disabled();
-        let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-        let engine = RadiusSearchEngine::bonsai(&tree);
-        let mut expect_batch = QueryBatch::new();
-        engine.search_batch(&queries, 1.3, &mut expect_batch);
-        let check = |router: &ShardRouter, label: &str| {
-            let audit = router.audit();
-            assert!(audit.is_empty(), "{label}: {audit:?}");
-            let mut batch = QueryBatch::new();
-            router.search_batch(&queries, 1.3, &mut batch);
-            for i in 0..batch.num_queries() {
-                assert_eq!(
-                    batch.results(i),
-                    &sorted(expect_batch.results(i).to_vec())[..],
-                    "{label} query {i}"
-                );
-            }
-        };
-        check(&router, "before");
-
-        // Split the most populous shard on its SAH plane.
-        let big = (0..router.num_shards())
-            .max_by_key(|&i| router.shard_points(i).len())
-            .unwrap();
-        let pts: Vec<Point3> = router
-            .shard_points(big)
-            .iter()
-            .map(|&g| cloud[g as usize])
-            .collect();
-        let plane = find_best_split_plane(&pts, 16).expect("a populous shard splits");
-        let sibling = router
-            .split_shard(big, plane.axis, plane.position)
-            .expect("split");
-        assert_eq!(router.num_shards(), 5);
-        assert!(!router.shard_points(big).is_empty());
-        assert!(!router.shard_points(sibling).is_empty());
-        check(&router, "after split");
-
-        // Merge it back: the loser slot empties but is never removed.
-        let kept = router.merge_shards(big, sibling).expect("merge");
-        assert_eq!(kept, big.min(sibling));
-        assert_eq!(router.num_shards(), 5, "slots are stable");
-        let emptied = big.max(sibling);
-        assert!(router.shard_points(emptied).is_empty());
-        check(&router, "after merge");
-
-        // A second split reuses the rebuilt-empty slot, not a new one.
-        let pts: Vec<Point3> = router
-            .shard_points(kept)
-            .iter()
-            .map(|&g| cloud[g as usize])
-            .collect();
-        let plane = find_best_split_plane(&pts, 16).expect("still splits");
-        let sib2 = router
-            .split_shard(kept, plane.axis, plane.position)
-            .expect("resplit");
-        assert_eq!(sib2, emptied, "rebuilt-empty slot must be reused");
-        assert_eq!(router.num_shards(), 5);
-        check(&router, "after resplit");
-
-        // Typed refusals, all with zero state change.
-        assert_eq!(
-            router.split_shard(99, 0, 0.0),
-            Err(RejectReason::OutOfRange { shard: 99 })
-        );
-        assert_eq!(
-            router.split_shard(kept, 7, 0.0),
-            Err(RejectReason::NoGain { shard: kept })
-        );
-        assert_eq!(
-            router.split_shard(kept, 0, f32::NAN),
-            Err(RejectReason::NoGain { shard: kept })
-        );
-        assert_eq!(
-            router.split_shard(kept, 0, 1.0e9),
-            Err(RejectReason::NoGain { shard: kept }),
-            "a plane past every point leaves one side empty"
-        );
-        assert_eq!(
-            router.merge_shards(kept, kept),
-            Err(RejectReason::SameShard { shard: kept })
-        );
-        check(&router, "after refusals");
-    }
-
-    /// A split's rebuild retires the shard's dead globals to the
-    /// generation-tagged free list, exactly like `rebuild_shard`.
-    #[test]
-    fn split_retires_dead_globals_for_recycling() {
-        let cloud = urban_cloud(1200, 33);
-        let mut router =
-            ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(3));
-        for g in 0..200u32 {
-            router.delete(g);
-        }
-        router.commit();
-        let before_live = router.num_points();
-        for s in 0..3 {
-            let pts: Vec<Point3> = {
-                let kd = router.shards[s].tree.kd();
-                (0..kd.points().len() as u32)
-                    .filter(|&l| kd.is_live(l))
-                    .map(|l| kd.points()[l as usize])
-                    .collect()
-            };
-            if let Some(plane) = find_best_split_plane(&pts, 8) {
-                router
-                    .split_shard(s, plane.axis, plane.position)
-                    .expect("split");
-            }
-        }
-        assert_eq!(
-            router.num_points(),
-            before_live,
-            "splits must not lose points"
-        );
-        let audit = router.audit();
-        assert!(audit.is_empty(), "{audit:?}");
-        // The dead band's globals were retired with a generation bump
-        // and are recycled by the next insert.
-        let g = router.insert(Point3::new(0.5, 0.5, 0.5)).unwrap();
-        assert!(g < 200, "expected a recycled global, got fresh {g}");
-        assert_eq!(router.generation(g), Some(1), "retirement bumps the tag");
-    }
-
-    /// Closed loop: hammering one neighborhood must drive `adapt_step`
-    /// to split the hot shard, while results stay bit-identical to the
-    /// single-tree engine and the decision log stays observable.
-    #[test]
-    fn adapt_step_splits_the_hot_shard_and_stays_exact() {
-        let cloud = urban_cloud(4000, 35);
-        let mut router =
-            ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(4));
-        let policy = ShardPolicy {
-            min_split_points: 64,
-            min_queries: 16.0,
-            max_shards: 16,
-            ..ShardPolicy::default()
-        };
-        let ego = cloud[0];
-        let hot_queries: Vec<Point3> = cloud
-            .iter()
-            .copied()
-            .filter(|p| p.distance_squared(ego) < 64.0)
-            .take(256)
-            .collect();
-        assert!(hot_queries.len() > 32, "seed produced too small a hot set");
-        let mut batch = QueryBatch::new();
-        let mut executed = 0u64;
-        for _ in 0..12 {
-            router.search_batch(&hot_queries, 1.0, &mut batch);
-            let report = router.adapt_step(&policy, 0);
-            executed += report.splits + report.merges;
-        }
-        let lr = router.load_report();
-        assert!(lr.splits >= 1, "no split under heavy skew: {lr:?}");
-        assert_eq!(lr.splits + lr.merges, executed);
-        assert!(!lr.recent.is_empty(), "decisions must be logged");
-        assert!(lr.shards.iter().any(|s| s.lifetime.queries > 0));
-        let audit = router.audit();
-        assert!(audit.is_empty(), "{audit:?}");
-
-        let mut sim = SimEngine::disabled();
-        let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-        let engine = RadiusSearchEngine::bonsai(&tree);
-        let queries: Vec<Point3> = cloud.iter().step_by(29).copied().collect();
-        let mut single = QueryBatch::new();
-        engine.search_batch(&queries, 1.2, &mut single);
-        let mut routed = QueryBatch::new();
-        router.search_batch(&queries, 1.2, &mut routed);
-        for i in 0..single.num_queries() {
-            assert_eq!(
-                routed.results(i),
-                &sorted(single.results(i).to_vec())[..],
-                "query {i} diverged after adaptation"
-            );
-        }
-    }
-
-    /// A uniform query stream over an over-split fleet must walk the
-    /// topology back down: a flat load profile earns nothing from a
-    /// fine partition, while every populated shard taxes every routed
-    /// query with one more box test.
-    #[test]
-    fn flat_profile_over_split_fleet_merges_back_down() {
-        // A regular grid, not `urban_cloud`: the clustered cloud has
-        // genuine hot spots, while this test needs per-shard work that
-        // is actually flat.
-        let mut cloud = Vec::with_capacity(16 * 16 * 16);
-        for x in 0..16 {
-            for y in 0..16 {
-                for z in 0..16 {
-                    cloud.push(Point3::new(x as f32, y as f32, z as f32));
-                }
-            }
-        }
-        let mut router = ShardRouter::bonsai(
-            &cloud,
-            KdTreeConfig::default(),
-            ShardConfig::with_shards(16),
-        );
-        // split_ratio is raised above the default: a freshly merged
-        // shard inherits both halves' profiles (~2× the populated
-        // mean), and decay noise around the default 2.0 threshold
-        // could tip it into a spurious re-split.
-        let policy = ShardPolicy {
-            min_queries: 16.0,
-            split_ratio: 3.0,
-            flat_ratio: 2.0,
-            flat_floor: 4,
-            ..ShardPolicy::default()
-        };
-        let queries: Vec<Point3> = cloud.iter().step_by(17).copied().collect();
-        let before_live = router.num_points();
-        let mut batch = QueryBatch::new();
-        let mut merges = 0u64;
-        for _ in 0..20 {
-            router.search_batch(&queries, 1.0, &mut batch);
-            let report = router.adapt_step(&policy, 0);
-            assert_eq!(report.splits, 0, "uniform load must never split");
-            merges += report.merges;
-        }
-        assert!(merges >= 2, "flat profile over 16 shards must merge");
-        let populated = router
-            .load_report()
-            .shards
-            .iter()
-            .filter(|s| s.points > 0)
-            .count();
-        assert!(
-            populated >= policy.flat_floor.min(policy.min_shards.max(2)),
-            "merging must respect the floors, populated {populated}"
-        );
-        assert!(
-            populated < 16,
-            "fleet must actually shrink, populated {populated}"
-        );
-        assert_eq!(
-            router.num_points(),
-            before_live,
-            "merges must not lose points"
-        );
-        let audit = router.audit();
-        assert!(audit.is_empty(), "{audit:?}");
-    }
-
-    /// The guard-fix satellite, as a regression test: a quarantined
-    /// (heal-in-progress) shard is never chosen for a topology change,
-    /// and neither is anything else while pinned readers lag beyond the
-    /// policy's staleness bound — both land in the report as typed
-    /// rejections, and the identical proposal executes once the guard
-    /// clears.
-    #[test]
-    fn heal_in_progress_and_stale_pins_block_topology_changes() {
-        let cloud = urban_cloud(3000, 37);
-        let mut router =
-            ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(4));
-        // split_ratio is lowered so the hot shard stays decisively
-        // above the populated-shard mean across the decay the blocked
-        // steps cost it — this test exercises the guards, not the
-        // hotness threshold.
-        let policy = ShardPolicy {
-            min_split_points: 64,
-            min_queries: 16.0,
-            split_ratio: 1.5,
-            ..ShardPolicy::default()
-        };
-        let ego = cloud[0];
-        let hot_queries: Vec<Point3> = cloud
-            .iter()
-            .copied()
-            .filter(|p| p.distance_squared(ego) < 64.0)
-            .take(128)
-            .collect();
-        let mut batch = QueryBatch::new();
-        router.search_batch(&hot_queries, 1.0, &mut batch);
-
-        // Identify the hot shard from the load report, then put it
-        // into heal-in-progress state.
-        let lr = router.load_report();
-        let hot = (0..lr.shards.len())
-            .max_by_key(|&i| {
-                lr.shards[i].lifetime.nodes_visited + lr.shards[i].lifetime.points_inspected
-            })
-            .unwrap();
-        router.quarantine(hot);
-        assert_eq!(
-            router.shard_is_adaptable(hot),
-            Err(RejectReason::Quarantined { shard: hot })
-        );
-
-        let shards_before = router.num_shards();
-        let report = router.adapt_step(&policy, 0);
-        assert_eq!(report.splits, 0);
-        assert_eq!(
-            router.num_shards(),
-            shards_before,
-            "topology changed under quarantine"
-        );
-        assert!(
-            report.decisions.iter().any(|d| matches!(
-                d,
-                AdaptDecision::Rejected {
-                    reason: RejectReason::Quarantined { shard },
-                    ..
-                } if *shard == hot
-            )),
-            "missing the typed quarantine rejection: {report:?}"
-        );
-
-        // Direct attempts are refused identically, with no state change.
-        assert_eq!(
-            router.split_shard(hot, 0, 0.0),
-            Err(RejectReason::Quarantined { shard: hot })
-        );
-        assert_eq!(
-            router.merge_shards(hot, (hot + 1) % shards_before),
-            Err(RejectReason::Quarantined { shard: hot })
-        );
-
-        // Heal the shard; now only stale pinned readers block topology.
-        let live: Vec<(u32, Point3)> = router
-            .shard_points(hot)
-            .iter()
-            .map(|&g| (g, cloud[g as usize]))
-            .collect();
-        router.rebuild_shards_from(&[hot], &live);
-        assert!(router.shard_is_adaptable(hot).is_ok());
-        router.search_batch(&hot_queries, 1.0, &mut batch);
-        let report = router.adapt_step(&policy, policy.max_epoch_lag + 1);
-        assert_eq!(report.splits + report.merges, 0);
-        assert_eq!(router.num_shards(), shards_before);
-        assert!(
-            report.decisions.iter().any(|d| matches!(
-                d,
-                AdaptDecision::Rejected {
-                    reason: RejectReason::StalePins { .. },
-                    ..
-                }
-            )),
-            "missing the typed staleness rejection: {report:?}"
-        );
-
-        // Readers caught up: the same proposal now executes.
-        router.search_batch(&hot_queries, 1.0, &mut batch);
-        let report = router.adapt_step(&policy, policy.max_epoch_lag);
-        assert!(
-            report.splits >= 1,
-            "guarded proposal never executed: {report:?}"
-        );
-        let audit = router.audit();
-        assert!(audit.is_empty(), "{audit:?}");
     }
 }

@@ -101,10 +101,10 @@ pub const HOT_MODULES: &[(&str, &str)] = &[
 ];
 
 /// Counter modules where bare `Ordering::Relaxed` is the sanctioned
-/// idiom: load-accounting counters whose readers tolerate staleness by
-/// design (`ShardLoad` decay sampling). Everything else needs an
-/// `// HB:` comment or a justified allow.
-pub const ATOMIC_COUNTER_MODULES: &[(&str, &str)] = &[("bonsai-core", "adapt.rs")];
+/// idiom: statistics counters whose readers tolerate staleness by
+/// design. None today, so every `Ordering::` use needs an `// HB:`
+/// comment or a justified allow.
+pub const ATOMIC_COUNTER_MODULES: &[(&str, &str)] = &[];
 
 /// The one file sanctioned to call `Arc::make_mut` on shard snapshots
 /// (cow-discipline): the copy-on-write commit path behind the dirty

@@ -69,7 +69,7 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use bonsai_core::{AdaptReport, EpochPublisher, QueryError, RadiusSearchEngine, RouterSnapshot};
+use bonsai_core::{EpochPublisher, QueryError, RadiusSearchEngine, RouterSnapshot};
 use bonsai_geom::Point3;
 use bonsai_kdtree::{Neighbor, QueryBatch, SearchScratch, SearchStats};
 
@@ -179,13 +179,6 @@ pub struct ServeMetrics {
     pub batches: u64,
     /// Largest number of requests absorbed into a single batch.
     pub max_batch_absorbed: usize,
-    /// Shard splits executed by the adaptive policy
-    /// (accumulated via [`Server::record_adapt`]).
-    pub shard_splits: u64,
-    /// Shard merges executed by the adaptive policy.
-    pub shard_merges: u64,
-    /// Adaptive split/merge proposals rejected with a typed reason.
-    pub adapt_rejected: u64,
 }
 
 /// An index snapshot the executor can serve: anything that appends
@@ -425,19 +418,6 @@ impl<T: EpochIndex> Server<T> {
         relock(&self.shared.queue).metrics
     }
 
-    /// Folds one adaptive-sharding window
-    /// ([`ShardRouter::adapt_step`](bonsai_core::ShardRouter::adapt_step)'s
-    /// report) into this server's counters, so the serving surface
-    /// exposes splits, merges, and typed rejections alongside the
-    /// request metrics. The ingest side calls this after each adapt
-    /// window; the accumulation is monotonic like every other counter.
-    pub fn record_adapt(&self, report: &AdaptReport) {
-        let mut q = relock(&self.shared.queue);
-        q.metrics.shard_splits += report.splits;
-        q.metrics.shard_merges += report.merges;
-        q.metrics.adapt_rejected += report.rejected;
-    }
-
     /// The epoch publisher this server pins from.
     pub fn publisher(&self) -> &Arc<EpochPublisher<T>> {
         &self.shared.publisher
@@ -668,66 +648,6 @@ mod tests {
         let got = server.radius_query(cloud[11], 0.8).expect("served");
         let expect = tree.radius_search_simple(cloud[11], 0.8);
         assert_eq!(got.neighbors, expect);
-    }
-
-    #[test]
-    fn adapt_reports_surface_in_serve_metrics_and_pins_hold() {
-        use bonsai_core::ShardPolicy;
-
-        let cloud = urban_cloud(3000, 9);
-        let mut router =
-            ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(4));
-        let publisher = Arc::new(EpochPublisher::new(router.snapshot()));
-        let server = Server::new(Arc::clone(&publisher), ServeConfig::default());
-
-        // A client keeps answering on the pre-split epoch.
-        let pinned = publisher.pin();
-        let probe = cloud[0];
-        let before = server.radius_query(probe, 1.1).expect("served");
-        assert_eq!(before.epoch, 0);
-
-        // Ingest drives a skewed load until the policy splits, folding
-        // each window's report into the serving metrics.
-        let policy = ShardPolicy {
-            min_split_points: 64,
-            min_queries: 16.0,
-            ..ShardPolicy::default()
-        };
-        let hot: Vec<Point3> = cloud
-            .iter()
-            .copied()
-            .filter(|p| p.distance_squared(probe) < 64.0)
-            .take(128)
-            .collect();
-        let mut batch = QueryBatch::new();
-        let mut splits = 0;
-        for _ in 0..12 {
-            router.search_batch(&hot, 1.0, &mut batch);
-            let report = router.adapt_step(&policy, publisher.epoch_lag());
-            splits += report.splits;
-            server.record_adapt(&report);
-            publisher.publish(router.snapshot());
-        }
-        let m = server.metrics();
-        assert!(splits >= 1, "skewed load never split");
-        assert_eq!(m.shard_splits, splits);
-        assert_eq!(
-            m.shard_splits + m.shard_merges,
-            router.load_report().splits + router.load_report().merges
-        );
-
-        // The pre-split pin still answers bit-identically…
-        let mut scratch = SearchScratch::new();
-        let mut frozen = Vec::new();
-        let mut stats = SearchStats::default();
-        pinned
-            .value()
-            .search_append(probe, 1.1, &mut scratch, &mut frozen, &mut stats);
-        assert_eq!(frozen, before.neighbors, "pre-split epoch drifted");
-        // …while new requests ride the rebalanced topology, same hits.
-        let after = server.radius_query(probe, 1.1).expect("served");
-        assert!(after.epoch > 0);
-        assert_eq!(after.neighbors, before.neighbors);
     }
 
     #[test]

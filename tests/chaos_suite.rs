@@ -12,9 +12,9 @@ use kd_bonsai::cluster::{
     extract_euclidean_clusters_batched, AuditPolicy, ClusterParams, PipelineError,
     StreamingExtractor, StreamingPipeline, TreeMode,
 };
-use kd_bonsai::core::{FaultKind, FaultPlan, ShardPolicy};
+use kd_bonsai::core::{FaultKind, FaultPlan};
 use kd_bonsai::geom::Point3;
-use kd_bonsai::kdtree::{KdTreeConfig, QueryBatch};
+use kd_bonsai::kdtree::KdTreeConfig;
 use kd_bonsai::lidar::{DrivingSequence, SequenceConfig};
 
 fn blob(center: Point3, n: usize, spread: f32, seed: u64) -> Vec<Point3> {
@@ -386,84 +386,5 @@ fn pipeline_audit_policy_heals_between_frames() {
         // policy audit must catch and heal it.
         let kind = plan.pick(&FaultKind::STATE);
         chaotic.chaos_extractor_mut().chaos_inject(&mut plan, kind);
-    }
-}
-
-/// Split/merge under fault: two twins driven through identical
-/// hot-spot adapt schedules adopt the same post-split topology; a
-/// state fault injected into one is then healed, and the healed stack
-/// must certify clean, keep accepting adapt steps, and serve clusters
-/// bit-identical to the never-corrupted twin (split and merge keep
-/// global indices stable, so the comparison is exact, not normalized).
-#[test]
-fn adapted_topology_heals_to_bit_identical_serving() {
-    let policy = ShardPolicy {
-        min_split_points: 16,
-        min_queries: 8.0,
-        split_ratio: 1.2,
-        merge_ratio: 0.4,
-        max_shards: 8,
-        ..ShardPolicy::default()
-    };
-    for seed in [9u64, 31] {
-        for kind in FaultKind::STATE {
-            let mut clean = churned_extractor(seed);
-            let mut ex = churned_extractor(seed);
-            // The policy reads only observed counters, which are
-            // deterministic for equal modes and equal query streams —
-            // so equal schedules give equal decisions.
-            let hot_at = ex
-                .live_indices()
-                .next()
-                .expect("churned stack has live points");
-            let hot = [ex.point(hot_at); 24];
-            for _ in 0..4 {
-                for twin in [&mut clean, &mut ex] {
-                    let mut b = QueryBatch::new();
-                    twin.router().search_batch(&hot, 0.8, &mut b);
-                    twin.maybe_adapt(&policy, 0);
-                }
-            }
-            let a = clean.router().load_report();
-            let b = ex.router().load_report();
-            assert_eq!(
-                (a.splits, a.merges),
-                (b.splits, b.merges),
-                "seed {seed} {kind:?}: twin adapt schedules diverged"
-            );
-            assert!(
-                a.splits + a.merges > 0,
-                "seed {seed} {kind:?}: the hot-spot schedule never adapted"
-            );
-
-            let mut plan = FaultPlan::new(seed);
-            assert!(
-                ex.chaos_inject(&mut plan, kind).is_some(),
-                "seed {seed} {kind:?}: no applicable site"
-            );
-            let report = ex.heal();
-            assert!(
-                report.clean,
-                "seed {seed} {kind:?}: heal failed on adapted topology: {:?}",
-                report.violations
-            );
-            // The healed stack keeps adapting cleanly (rebuilt shards
-            // may have reset counters, so the twins' topologies are
-            // free to diverge from here — served results must not).
-            ex.maybe_adapt(&policy, 0);
-            clean.maybe_adapt(&policy, 0);
-            assert!(
-                ex.audit().is_empty(),
-                "seed {seed} {kind:?}: post-heal adapt dirtied the stack"
-            );
-
-            let healed = ex.extract(0.5, 1, 100_000);
-            let expect = clean.extract(0.5, 1, 100_000);
-            assert!(healed.coverage.complete, "seed {seed} {kind:?}: coverage");
-            assert_eq!(
-                healed.clusters, expect.clusters,
-                "seed {seed} {kind:?}: healed clusters diverge from the clean twin"
-            );
-        }
     }
 }

@@ -34,11 +34,9 @@ fn arb_cloud(max: usize) -> impl Strategy<Value = Vec<Point3>> {
 
 /// One scripted step: `kind` 0 inserts, 1 deletes, 2 checkpoints
 /// (commit + compare against a fresh rebuild), 3 compacts (commit +
-/// full single-tree compaction + a rolling router shard rebuild),
-/// 4 adapts (commit + load-driven `adapt_step` on both routers), 5
-/// splits or merges directly (commit + a targeted `split_shard` /
-/// `merge_shards`); kinds 2–5 all end in the full checkpoint
-/// comparison; `arg` seeds the step's choice of point/index/plane.
+/// full single-tree compaction + a rolling router shard rebuild);
+/// 4 and 5 are plain checkpoints like 2. Kinds 2–5 all end in the full
+/// checkpoint comparison; `arg` seeds the step's choice of point/index.
 fn arb_ops(max: usize) -> impl Strategy<Value = Vec<(u8, usize)>> {
     prop::collection::vec((0u8..6, 0usize..10_000), 4..max)
 }
@@ -163,9 +161,8 @@ proptest! {
         // (generation-tagged free list); the single tree always
         // appends. Maintain the correspondence explicitly: it is the
         // identity until the first rebuild retires something. Kept per
-        // router because the adaptive policy reads mode-specific load
-        // counters, so the two routers' topologies — and with them
-        // their recycling index spaces — may legitimately diverge.
+        // router: the contract says nothing about two routers of
+        // different modes recycling indices in the same order.
         let mut t2r_base: Vec<u32> = (0..cloud.len() as u32).collect();
         let mut r2t_base: Vec<u32> = t2r_base.clone();
         let mut t2r_bonsai: Vec<u32> = t2r_base.clone();
@@ -232,81 +229,6 @@ proptest! {
                             router_base.rebuild_shard(s);
                             router_bonsai.rebuild_shard(s);
                         }
-                    }
-
-                    if kind == 4 {
-                        // Adaptive checkpoint: hammer one live
-                        // neighborhood so the load profile sees a hot
-                        // shard, then run the policy on both routers.
-                        // Whatever it decides (split, merge, typed
-                        // refusal) must be invisible to every
-                        // comparison below.
-                        let policy = kd_bonsai::core::ShardPolicy {
-                            min_split_points: 8,
-                            min_queries: 4.0,
-                            split_ratio: 1.2,
-                            merge_ratio: 0.4,
-                            max_shards: 8,
-                            ..kd_bonsai::core::ShardPolicy::default()
-                        };
-                        let live: Vec<u32> = tree.kd_tree().live_indices().collect();
-                        if !live.is_empty() {
-                            let hot_at = live[arg % live.len()];
-                            let hot = tree.kd_tree().points()[hot_at as usize];
-                            let hot_queries = [hot; 24];
-                            let mut b = kd_bonsai::kdtree::QueryBatch::new();
-                            for _ in 0..3 {
-                                router_base.search_batch(&hot_queries, radius, &mut b);
-                                router_bonsai.search_batch(&hot_queries, radius, &mut b);
-                                router_base.adapt_step(&policy, 0);
-                                router_bonsai.adapt_step(&policy, 0);
-                            }
-                        }
-                    }
-
-                    if kind == 5 {
-                        // Direct topology surgery, per engine: split
-                        // the chosen shard through its own point
-                        // median (or merge it with its neighbor). The
-                        // two routers may have diverged topologically
-                        // after kind-4 adapt checkpoints (their load
-                        // counters legitimately differ by mode), so
-                        // each operates on its own layout and the
-                        // accept/refuse outcome is free — only the
-                        // result comparisons below must not notice.
-                        let surgery = |router: &mut ShardRouter, r2t: &[u32]| {
-                            if router.num_shards() == 0 {
-                                return;
-                            }
-                            let s = arg % router.num_shards();
-                            if arg % 2 == 0 {
-                                let axis = arg % 3;
-                                let coord = |p: Point3| match axis {
-                                    0 => p.x,
-                                    1 => p.y,
-                                    _ => p.z,
-                                };
-                                // The shard's member coordinates, read
-                                // back through the router→tree map.
-                                let mut c: Vec<f32> = router
-                                    .shard_points(s)
-                                    .iter()
-                                    .filter_map(|&g| r2t.get(g as usize))
-                                    .filter(|&&t| t != u32::MAX)
-                                    .map(|&t| coord(tree.kd_tree().points()[t as usize]))
-                                    .collect();
-                                if !c.is_empty() {
-                                    c.sort_unstable_by(f32::total_cmp);
-                                    let plane = c[c.len() / 2];
-                                    let _ = router.split_shard(s, axis, plane);
-                                }
-                            } else {
-                                let t = (s + 1) % router.num_shards();
-                                let _ = router.merge_shards(s, t);
-                            }
-                        };
-                        surgery(&mut router_base, &r2t_base);
-                        surgery(&mut router_bonsai, &r2t_bonsai);
                     }
 
                     // Deep-audit checkpoint: every commit, compaction
@@ -386,12 +308,11 @@ proptest! {
                         }
                     }
 
-                    // Split/merge (and every other topology state) must
-                    // leave the routed batch deterministic and
-                    // canonically ordered: two passes agree bit for bit
-                    // — values, order, and `SearchStats` totals — and
-                    // each query's hits arrive in ascending global
-                    // index order.
+                    // Every mutation state must leave the routed batch
+                    // deterministic and canonically ordered: two passes
+                    // agree bit for bit — values, order, and
+                    // `SearchStats` totals — and each query's hits
+                    // arrive in ascending global index order.
                     {
                         let mut b1 = kd_bonsai::kdtree::QueryBatch::new();
                         let mut b2 = kd_bonsai::kdtree::QueryBatch::new();

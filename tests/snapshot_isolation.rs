@@ -38,11 +38,11 @@ fn arb_cloud(max: usize) -> impl Strategy<Value = Vec<Point3>> {
 }
 
 /// One scripted step: `kind` 0 inserts, 1 deletes, 2 checkpoints
-/// (commit + publish + pin), 3 rebuilds a shard, 4 runs the adaptive
-/// policy against a hammered hot spot, 5 splits/merges a shard
-/// directly; kinds 2–5 all checkpoint afterwards, so every pinned
-/// epoch taken *before* a topology change is re-verified against its
-/// frozen pre-change answers. `arg` seeds each step's choices.
+/// (commit + publish + pin), 3 rebuilds a shard, 4 is a plain
+/// checkpoint like 2, 5 applies a small diff through `rebuild_update`;
+/// kinds 2–5 all checkpoint afterwards, so every pinned epoch taken
+/// *before* a shard rebuild is re-verified against its frozen
+/// pre-rebuild answers. `arg` seeds each step's choices.
 fn arb_ops(max: usize) -> impl Strategy<Value = Vec<(u8, usize)>> {
     prop::collection::vec((0u8..6, 0usize..10_000), 4..max)
 }
@@ -133,51 +133,29 @@ proptest! {
                         if kind == 3 && router.num_shards() > 0 {
                             router.rebuild_shard(arg % router.num_shards());
                         }
-                        if kind == 4 {
-                            // Adaptive checkpoint: hammer one query's
-                            // neighborhood so the load profile sees a
-                            // hot shard, then let the policy act.
-                            // Whatever it decides, every epoch pinned
-                            // before this step must not notice.
-                            let policy = kd_bonsai::core::ShardPolicy {
-                                min_split_points: 8,
-                                min_queries: 4.0,
-                                split_ratio: 1.2,
-                                merge_ratio: 0.4,
-                                max_shards: 8,
-                                ..kd_bonsai::core::ShardPolicy::default()
-                            };
-                            let hot = [queries[arg % queries.len()]; 24];
-                            let mut b = kd_bonsai::kdtree::QueryBatch::new();
-                            for _ in 0..3 {
-                                router.search_batch(&hot, radius, &mut b);
-                                router.adapt_step(&policy, 0);
-                            }
-                        }
-                        if kind == 5 && router.num_shards() > 0 {
-                            // Direct topology surgery: split the
-                            // chosen shard at its bounds midpoint, or
-                            // merge it with its neighbor. A typed
-                            // refusal is fine; pre-surgery pins must
-                            // stay bit-identical either way.
-                            let s = arg % router.num_shards();
-                            if arg % 2 == 0 {
-                                let bounds = router.shard_bounds().nth(s);
-                                if let Some(aabb) = bounds {
-                                    let axis = arg % 3;
-                                    let (lo, hi) = match axis {
-                                        0 => (aabb.min.x, aabb.max.x),
-                                        1 => (aabb.min.y, aabb.max.y),
-                                        _ => (aabb.min.z, aabb.max.z),
-                                    };
-                                    if lo <= hi {
-                                        let _ = router.split_shard(s, axis, 0.5 * (lo + hi));
-                                    }
-                                }
+                        if kind == 5 {
+                            // One frame's diff through the touched-shard
+                            // rebuild streaming ingest uses: a few new
+                            // points plus up to three of one shard's
+                            // globals (a dead one is skipped). Epochs
+                            // pinned before must not notice.
+                            let added: Vec<Point3> = (0..3)
+                                .map(|k| extra[(next_extra + arg + k) % extra.len()])
+                                .collect();
+                            next_extra += added.len();
+                            let removed: Vec<u32> = if router.num_shards() > 0 {
+                                let members = router.shard_points(arg % router.num_shards());
+                                members
+                                    .iter()
+                                    .skip(arg % members.len().max(1))
+                                    .step_by(3)
+                                    .take(3)
+                                    .copied()
+                                    .collect()
                             } else {
-                                let t = (s + 1) % router.num_shards();
-                                let _ = router.merge_shards(s, t);
-                            }
+                                Vec::new()
+                            };
+                            router.rebuild_update(&added, &removed);
                         }
                         let id = publisher.publish(router.snapshot());
                         let epoch = publisher.try_pin_epoch(id).expect("just published");
